@@ -139,8 +139,7 @@ def _print_battery(tag: str, battery: dict) -> None:
 
 def cmd_bridge_demo(args) -> int:
     report = experiments.run_bridge_demo(
-        args.paths, args.steps, args.seed, tuple(_parse_pairs(args.pairs)),
-        args.threshold, n_workers=args.threads,
+        args.paths, args.steps, args.seed, tuple(_parse_pairs(args.pairs)), args.threshold,
     )
     report["command"] = "bridge-demo"
     _write_report(args.out, "bridge_demo", report, not args.no_timestamp)
@@ -169,7 +168,7 @@ def cmd_drift_sim(args) -> int:
     phi = parse_integrand(args.phi)
     report = experiments.run_enlargement_demo(
         phi, args.paths, args.steps, args.seed, tuple(_parse_pairs(args.pairs)),
-        args.threshold, qv_time=None, n_workers=args.threads,
+        args.threshold, qv_time=None,
     )
     report["command"] = "drift-sim"
     _write_report(args.out, "drift_sim", report, not args.no_timestamp)
@@ -271,7 +270,7 @@ def cmd_finite_demo(args) -> int:
 def cmd_lookahead_demo(args) -> int:
     levels = [int(x) for x in args.levels.split(",")]
     report = experiments.run_lookahead_demo(
-        _parse_epsilon(args.epsilon), levels, args.paths, args.seed, args.delta,
+        _parse_epsilon(args.epsilon), levels, args.paths, args.seed, args.delta, args.threads,
     )
     report["command"] = "lookahead-demo"
     _write_report(args.out, "lookahead_demo", report, not args.no_timestamp)
@@ -317,7 +316,9 @@ def _add_common(p: argparse.ArgumentParser, paths: int, steps: int | None = None
     p.add_argument("--threshold", type=float, default=4.0, help="|z| limit per test")
     p.add_argument("--out", default=None, help="directory for JSON/CSV reports")
     p.add_argument("--threads", type=int, default=None,
-                   help="cap simulation workers (never changes results)")
+                   help="cap simulation workers of the one-shot simulations (mg-test, "
+                        "lookahead-demo); streamed commands simulate one block at a time "
+                        "and ignore it (never changes results)")
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit the timestamp field for byte-identical reports")
 

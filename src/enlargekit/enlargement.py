@@ -21,7 +21,7 @@ import numpy as np
 from .grid import TimeGrid
 from .integrands import DeterministicIntegrand, residual_variance, running_mean
 from .classifier import SEMIMARTINGALE, classify
-from .paths import PathEnsemble
+from .paths import PathEnsemble, row_slices
 
 # Stieltjes sums beyond this are reported as non-integrable rather than
 # silently overflowing.
@@ -101,17 +101,14 @@ class DecomposedProcess:
     label: str
 
     def __post_init__(self):
-        gap = np.max(np.abs(self.original - (self.martingale_part + self.fv_part)))
-        scale = max(float(np.max(np.abs(self.original), initial=0.0)), 1.0)
-        if gap > 1e-9 * scale:
-            raise EnlargementError(f"decomposition does not add up (gap {gap:g})")
+        _check_additivity(self.original, self.fv_part, self.martingale_part)
 
     @property
     def n_paths(self) -> int:
         return self.original.shape[0]
 
     def additivity_gap(self) -> float:
-        return float(np.max(np.abs(self.original - (self.martingale_part + self.fv_part))))
+        return _additivity_gap(self.original, self.fv_part, self.martingale_part)[0]
 
     def fv_total_variation(self) -> np.ndarray:
         """Σ |ΔA| per path; finite discrete variation, reported."""
@@ -130,25 +127,83 @@ class DecomposedProcess:
                     )
 
 
+def _additivity_gap(original, fv_part, martingale_part=None) -> tuple[float, float]:
+    """max |original − (martingale_part + fv_part)| and max(|original|, 1).
+
+    Without ``martingale_part`` the martingale part is original − fv_part,
+    formed slice by slice.  The matrices are walked in row slices, so no
+    temporary as large as them exists; a non-finite entry anywhere makes
+    the gap non-finite.
+    """
+    gaps, scale = [], 1.0
+    for rows in row_slices(*original.shape):
+        o, fv = original[rows], fv_part[rows]
+        s = np.subtract(o, fv) if martingale_part is None else np.array(martingale_part[rows])
+        s += fv
+        s -= o
+        gaps.append(np.maximum(s.max(initial=0.0), -s.min(initial=0.0)))
+        scale = max(scale, float(o.max(initial=0.0)), -float(o.min(initial=0.0)))
+    return float(np.max(gaps, initial=0.0)), scale
+
+
+def _check_additivity(original, fv_part, martingale_part=None) -> None:
+    gap, scale = _additivity_gap(original, fv_part, martingale_part)
+    if not math.isfinite(gap) or gap > 1e-9 * scale:
+        raise EnlargementError(f"decomposition does not add up (gap {gap:g})")
+
+
 def realize_X(spec: EnlargementSpec, values: np.ndarray, times: np.ndarray | None = None) -> np.ndarray:
-    """Itô-sum value of ∫ φ dW over the path's full support, per path."""
+    """Itô-sum value of ∫ φ dW over the path's full support, per path.
+
+    Σ_{i<n} φ(t_i)(W_{i+1} − W_i) is summed by parts into one weighted sum
+    of the path values, Σ_k c_k W_k with c_k = φ(t_{k−1}) − φ(t_k) (φ read
+    as 0 before the first and at the last node); for the indicator this
+    is exactly the terminal value.
+    """
     times = spec.grid.nodes if times is None else times
     if not math.isfinite(spec.phi.support_end):
         raise EnlargementError("cannot realize X: integrand support is unbounded, path is finite")
     if times[-1] < spec.phi.support_end - spec.epsilon_exclusion - 1e-15:
         raise EnlargementError("path does not cover the integrand support")
-    m = running_mean(spec.phi, times, values)
-    return m[..., -1]
+    phi = np.asarray(spec.phi(times[:-1]), dtype=float)
+    c = -np.diff(np.concatenate(([0.0], phi, [0.0])))
+    return np.asarray(values, dtype=float) @ c
 
 
-def drift_compensator(spec: EnlargementSpec, values: np.ndarray, x) -> np.ndarray:
-    """A at node k: Σ_{i<k} ρ(x, s_i) Δs_i with ρ = (x − m_s) φ(s)/σ²_s."""
+def _fv_part(phi, times, weights, values, x, out=None) -> np.ndarray:
+    """Σ_{i<k} (x − m_i) w_i at every node k, m the left-point running mean
+    of φ against the path.
+
+    Everything is formed inside the result: m_i is written to column
+    i + 1, turned into the increment (x − m_i) w_i there, and one cumsum
+    over columns 1.. leaves A_k in column k.
+    """
+    a = np.empty_like(values) if out is None else out
+    n = values.shape[1] - 1
+    a[:, :2] = 0.0
+    np.subtract(values[:, 1:n], values[:, : n - 1], out=a[:, 2:])
+    a[:, 2:] *= phi(times[: n - 1])
+    np.cumsum(a[:, 2:], axis=1, out=a[:, 2:])
+    np.subtract(x[:, None], a[:, 1:], out=a[:, 1:])
+    a[:, 1:] *= weights
+    np.cumsum(a[:, 1:], axis=1, out=a[:, 1:])
+    return a
+
+
+def drift_compensator(
+    spec: EnlargementSpec, values: np.ndarray, x, out: np.ndarray | None = None
+) -> np.ndarray:
+    """A at node k: Σ_{i<k} ρ(x, s_i) Δs_i with ρ = (x − m_s) φ(s)/σ²_s.
+
+    No path-sized array besides the result is allocated, and ``out`` lets
+    a block loop reuse one result buffer.  W = (W − A) + A is checked on
+    every node before A is returned, so a non-finite compensator is
+    rejected even where no :class:`DecomposedProcess` is built from it.
+    """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    m = running_mean(spec.phi, spec.grid.nodes, values)
-    w = spec.drift_weights()
-    a = np.zeros_like(values)
-    np.cumsum((x[:, None] - m[:, :-1]) * w, axis=1, out=a[:, 1:])
+    a = _fv_part(spec.phi, spec.grid.nodes, spec.drift_weights(), values, x, out)
+    _check_additivity(values, a)
     return a
 
 
@@ -183,10 +238,8 @@ def compensate_martingale(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     t = spec.grid.nodes
     big_m = running_mean(m_integrand, t, values)
-    mean = running_mean(spec.phi, t, values)
     w = spec.drift_weights() * np.asarray(m_integrand(t[:-1]), dtype=float)
-    fv = np.zeros_like(values)
-    np.cumsum((x[:, None] - mean[:, :-1]) * w, axis=1, out=fv[:, 1:])
+    fv = _fv_part(spec.phi, t, w, values, x)
     return DecomposedProcess(
         t, big_m, big_m - fv, fv, f"martingale|m={m_integrand.describe()}|phi={spec.phi.describe()}"
     )
@@ -222,12 +275,18 @@ def levy_bridge_compensator(
     ensemble: PathEnsemble,
     z_terminal: np.ndarray,
     pin_time: float = 1.0,
-) -> DecomposedProcess:
+    at: np.ndarray | None = None,
+) -> DecomposedProcess | np.ndarray:
     """Z compensated for knowledge of its value at ``pin_time``:
     fv part = left-point sums of (Z_T − Z_s)/(T − s) ds.
 
     The drift is only ever evaluated at left nodes, so the grid may end
     exactly at the pinning time but never beyond it.
+
+    With ``at`` (node indices) only the fv part at those nodes is
+    returned, as a (paths × nodes) matrix and without a decomposition:
+    A_k = Z_T Σ_{i<k} w_i − Σ_{i<k} Z_i w_i, one matrix product over the
+    paths for all requested nodes.
     """
     t = ensemble.grid.nodes
     if t[-1] > pin_time:
@@ -235,6 +294,11 @@ def levy_bridge_compensator(
     z = ensemble.values
     zt = np.atleast_1d(np.asarray(z_terminal, dtype=float))
     w = ensemble.grid.steps / (pin_time - t[:-1])
+    if at is not None:
+        at = np.asarray(at, dtype=int)
+        left = np.arange(w.size)[:, None] < at[None, :]
+        weights = np.where(left, w[:, None], 0.0)
+        return zt[:, None] * weights.sum(axis=0) - z[:, :-1] @ weights
     fv = np.zeros_like(z)
     np.cumsum((zt[:, None] - z[:, :-1]) * w, axis=1, out=fv[:, 1:])
     return DecomposedProcess(t, z, z - fv, fv, f"levy-bridge|{ensemble.process_label}")
@@ -302,8 +366,20 @@ def abs_drift_integral_paths(
     """
     values = np.atleast_2d(values)
     x = np.atleast_1d(x)
+    rungs = np.asarray(rung_indices, dtype=int)
+    lo, hi = int(rungs.min()), int(rungs.max())
     w = drift_magnitude_weights(times, pin_time)
-    dev = np.abs(x[:, None] - values)
-    terms = 0.5 * (dev[:, :-1] + dev[:, 1:]) * w
-    cum = np.cumsum(terms, axis=1)
-    return cum[:, np.asarray(rung_indices, dtype=int) - 1]
+    # up to the first rung, Σ_{i<lo} ½(d_i + d_{i+1}) w_i = Σ_{j≤lo} d_j head_j
+    head = np.zeros(lo + 1)
+    head[:lo] += 0.5 * w[:lo]
+    head[1:] += 0.5 * w[:lo]
+    out = np.empty((values.shape[0], rungs.size))
+    for rows in row_slices(values.shape[0], hi + 1):
+        dev = np.subtract(x[rows, None], values[rows, : hi + 1])
+        np.abs(dev, out=dev)
+        cum = np.empty((dev.shape[0], hi - lo + 1))
+        cum[:, 0] = dev[:, : lo + 1] @ head
+        np.cumsum(0.5 * (dev[:, lo:hi] + dev[:, lo + 1 :]) * w[lo:hi], axis=1, out=cum[:, 1:])
+        cum[:, 1:] += cum[:, :1]
+        out[rows] = cum[:, rungs - lo]
+    return out

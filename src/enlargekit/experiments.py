@@ -11,7 +11,8 @@ is a streaming accumulator, so nothing close to the full
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .enlargement import (
     EnlargementSpec,
     abs_drift_integral_paths,
     compensate_brownian,
+    drift_compensator,
     integrate_under_enlargement,
     levy_bridge_compensator,
     realize_X,
@@ -41,9 +43,11 @@ from .mgtests import (
     non_integrator_demo,
     probe_log_divergent,
     probe_power_quarter,
+    vdot,
 )
 from .paths import (
     JumpSampler,
+    PathEnsemble,
     SeedSpec,
     simulate_brownian,
     simulate_compound_poisson,
@@ -52,6 +56,8 @@ from .paths import (
 BLOCK = 16384
 DEFAULT_PAIRS = ((0.25, 0.5), (0.5, 0.75), (0.25, 0.9))
 ABS_DRIFT_CONSTANT = 2.0 * math.sqrt(2.0 / math.pi)  # limit of E∫|drift|, pinned unit bridge
+
+Consumer = Callable[[np.ndarray, np.ndarray], None]
 
 
 def bridge_grid(
@@ -66,6 +72,60 @@ def bridge_grid(
         horizon, n_base, singular_point=horizon, refinement_ratio=ratio, depth=depth,
         include=include,
     )
+
+
+def stream_blocks(
+    simulate: Callable[..., PathEnsemble],
+    realize: Callable[[np.ndarray], np.ndarray],
+    n_paths: int,
+    block: int = BLOCK,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Consecutive path blocks as ``(first_path, values, x)``.
+
+    ``simulate(take, first_path_index=first, out=buf)`` produces paths
+    first .. first+take−1 and ``realize(values)`` their information
+    variable.  Every block after the first is simulated into the first
+    block's value matrix, so one buffer serves the whole run: a consumer
+    must not keep ``values`` or ``x`` past the block it was handed.
+    """
+    buf = None
+    for first in range(0, n_paths, block):
+        values = simulate(min(block, n_paths - first), first_path_index=first, out=buf).values
+        if buf is None:
+            buf = values
+        yield first, values, realize(values)
+
+
+def _terminal_value(values: np.ndarray) -> np.ndarray:
+    return values[:, -1]
+
+
+def _drive(blocks: Iterator[tuple[int, np.ndarray, np.ndarray]], consumers: Sequence[Consumer]) -> None:
+    """Feeds every block to every consumer, in order."""
+    for _, values, x in blocks:
+        for update in consumers:
+            update(values, x)
+
+
+class _Compensation:
+    """The fused hot path: the drift compensator A of the current block,
+    written into one buffer that every block reuses.  W̃ = W − A is formed
+    only at the nodes a consumer reads."""
+
+    def __init__(self, spec: EnlargementSpec):
+        self.spec = spec
+        self._buf: np.ndarray | None = None
+        self.fv: np.ndarray | None = None
+
+    def update(self, values: np.ndarray, x: np.ndarray) -> None:
+        if self._buf is None:
+            self._buf = np.empty_like(values)
+        self.fv = drift_compensator(self.spec, values, x, out=self._buf[: values.shape[0]])
+
+    def martingale_at(self, values: np.ndarray, cols: dict[float, np.ndarray]) -> dict[float, np.ndarray]:
+        """W̃ at the nodes of ``cols`` (the columns of ``values`` there)."""
+        fv = columns_at(self.fv, self.spec.grid.nodes, list(cols))
+        return {u: w - fv[u] for u, w in cols.items()}
 
 
 class _CorrAccumulator:
@@ -93,18 +153,24 @@ class _CorrAccumulator:
 
 
 class _SlopeAccumulator:
-    def __init__(self, s: float, t: float, expected: float):
+    """Least-squares slope through the origin of W_t − W_s on X − W_s."""
+
+    def __init__(self, grid: TimeGrid, s: float, t: float, expected: float):
         self.s, self.t, self.expected = float(s), float(t), float(expected)
+        self._ks, self._kt = grid.index_of(s), grid.index_of(t)
         self._sxx = 0.0
         self._sxy = 0.0
         self._syy = 0.0
         self._n = 0
 
-    def update(self, x: np.ndarray, y: np.ndarray) -> None:
-        self._sxx += float(np.dot(x, x))
-        self._sxy += float(np.dot(x, y))
-        self._syy += float(np.dot(y, y))
-        self._n += x.size
+    def update(self, values: np.ndarray, x: np.ndarray) -> None:
+        ws = values[:, self._ks]
+        u = x - ws
+        y = values[:, self._kt] - ws
+        self._sxx += vdot(u, u)
+        self._sxy += vdot(u, y)
+        self._syy += vdot(y, y)
+        self._n += u.size
 
     def report(self) -> dict:
         slope = self._sxy / self._sxx
@@ -123,6 +189,44 @@ class _SlopeAccumulator:
         }
 
 
+class _DriftLadder:
+    """Mean per-path ∫|drift| up to each rung of the geometric refinement,
+    against the pinned-bridge constant."""
+
+    def __init__(self, times: np.ndarray, pin: float, n_base: int):
+        # rung truncations at the geometric refinement nodes: eps_k = h * ratio^k
+        h = pin / n_base
+        self.times, self.pin = times, pin
+        self.indices = np.nonzero(times >= pin - h - 1e-12)[0]
+        self._sum = np.zeros(self.indices.size)
+        self._sumsq = np.zeros(self.indices.size)
+        self._n = 0
+
+    def update(self, values: np.ndarray, x: np.ndarray) -> None:
+        vals = abs_drift_integral_paths(values, self.times, x, self.indices, self.pin)
+        self._sum += vals.sum(axis=0)
+        self._sumsq += (vals * vals).sum(axis=0)
+        self._n += vals.shape[0]
+
+    def report(self) -> dict:
+        n = self._n
+        mean = self._sum / n
+        var = np.maximum(self._sumsq / n - mean**2, 0.0) * n / (n - 1)
+        se = np.sqrt(var / n)
+        rungs = []
+        for eps, m, s in zip(self.pin - self.times[self.indices], mean, se):
+            bound = ABS_DRIFT_CONSTANT * math.sqrt(eps)
+            rungs.append({
+                "eps": float(eps),
+                "mean": float(m),
+                "se": float(s),
+                "truncation_bound": bound,
+                "target": ABS_DRIFT_CONSTANT,
+                "within": bool(abs(m - ABS_DRIFT_CONSTANT) <= 4.0 * s + bound),
+            })
+        return {"constant": ABS_DRIFT_CONSTANT, "rungs": rungs}
+
+
 def run_enlargement_demo(
     phi: DeterministicIntegrand,
     n_paths: int,
@@ -135,7 +239,6 @@ def run_enlargement_demo(
     with_drift_ladder: bool = False,
     qv_time: float | None = 0.9,
     block: int = BLOCK,
-    n_workers: int | None = None,
 ) -> dict:
     """Streamed compensation experiment for the enlargement by ∫ φ dW.
 
@@ -162,60 +265,38 @@ def run_enlargement_demo(
         else None
     )
     wanted = battery.times_needed
-    qv = QVAccumulator(grid.index_of(qv_time), qv_time) if qv_time is not None else None
     corr_comp = _CorrAccumulator()
     corr_raw = _CorrAccumulator()
     corr_time = max(t for _, t in pairs)
-    corr_col = grid.index_of(corr_time)
+    qv = QVAccumulator(grid.index_of(qv_time), qv_time) if qv_time is not None else None
+    comp = _Compensation(spec)
 
+    def certify(values: np.ndarray, x: np.ndarray) -> None:
+        w_cols = columns_at(values, times, wanted)
+        wt_cols = comp.martingale_at(values, w_cols)
+        battery.update(wt_cols, w_cols, x)
+        if negative is not None:
+            negative.update(w_cols, w_cols, x)
+        corr_comp.update(wt_cols[corr_time], x)
+        corr_raw.update(w_cols[corr_time], x)
+        if qv is not None:
+            qv.update(values, comp.fv)
+
+    consumers: list[Consumer] = [comp.update, certify]
     slopes = []
     if with_symmetry:
         for s, t in ((0.25, 0.5), (0.0, 1.0), (0.0, 0.5)):
             tt = min(t, float(times[-1])) if t >= pin else t
             expected = (tt - s) / (pin - s) if t < pin else 1.0
-            slopes.append(_SlopeAccumulator(s, tt, expected))
+            slopes.append(_SlopeAccumulator(grid, s, tt, expected))
+        consumers += [acc.update for acc in slopes]
+    ladder = _DriftLadder(times, pin, n_base) if with_drift_ladder else None
+    if ladder is not None:
+        consumers.append(ladder.update)
 
-    ladder = None
-    if with_drift_ladder:
-        # rung truncations at the geometric refinement nodes: eps_k = h * ratio^k
-        h = pin / n_base
-        rung_idx = np.nonzero(times >= pin - h - 1e-12)[0]
-        ladder = {
-            "indices": rung_idx,
-            "eps": pin - times[rung_idx],
-            "sum": np.zeros(rung_idx.size),
-            "sumsq": np.zeros(rung_idx.size),
-            "n": 0,
-        }
-
-    done = 0
-    while done < n_paths:
-        take = min(block, n_paths - done)
-        ens = simulate_brownian(grid, take, seedspec, n_workers, first_path_index=done)
-        w = ens.values
-        x = realize_X(spec, w)
-        dec = compensate_brownian(spec, ens, x)
-        wt = dec.martingale_part
-
-        w_cols = columns_at(w, times, wanted)
-        wt_cols = columns_at(wt, times, wanted)
-        battery.update(wt_cols, w_cols, x)
-        if negative is not None:
-            negative.update(w_cols, w_cols, x)
-        if qv is not None:
-            qv.update(wt)
-        corr_comp.update(wt[:, corr_col], x)
-        corr_raw.update(w[:, corr_col], x)
-        for acc in slopes:
-            ws = w_cols.get(acc.s, w[:, grid.index_of(acc.s)])
-            y = w[:, grid.index_of(acc.t)] - ws
-            acc.update(x - ws, y)
-        if ladder is not None:
-            vals = abs_drift_integral_paths(w, times, x, ladder["indices"], pin)
-            ladder["sum"] += vals.sum(axis=0)
-            ladder["sumsq"] += (vals * vals).sum(axis=0)
-            ladder["n"] += take
-        done += take
+    blocks = stream_blocks(partial(simulate_brownian, grid, seed=seedspec), partial(realize_X, spec),
+                           n_paths, block)
+    _drive(blocks, consumers)
 
     report: dict = {
         "phi": phi.describe(),
@@ -241,22 +322,7 @@ def run_enlargement_demo(
     if slopes:
         report["symmetry"] = [acc.report() for acc in slopes]
     if ladder is not None:
-        n = ladder["n"]
-        mean = ladder["sum"] / n
-        var = np.maximum(ladder["sumsq"] / n - mean**2, 0.0) * n / (n - 1)
-        se = np.sqrt(var / n)
-        rungs = []
-        for eps, m, s in zip(ladder["eps"], mean, se):
-            bound = ABS_DRIFT_CONSTANT * math.sqrt(eps)
-            rungs.append({
-                "eps": float(eps),
-                "mean": float(m),
-                "se": float(s),
-                "truncation_bound": bound,
-                "target": ABS_DRIFT_CONSTANT,
-                "within": bool(abs(m - ABS_DRIFT_CONSTANT) <= 4.0 * s + bound),
-            })
-        report["abs_drift_ladder"] = {"constant": ABS_DRIFT_CONSTANT, "rungs": rungs}
+        report["abs_drift_ladder"] = ladder.report()
     return report
 
 
@@ -267,7 +333,6 @@ def run_bridge_demo(
     pairs: Sequence[tuple[float, float]] = DEFAULT_PAIRS,
     threshold: float = DEFAULT_THRESHOLD,
     block: int = BLOCK,
-    n_workers: int | None = None,
 ) -> dict:
     """Pinned-bridge experiment with the full diagnostic set: battery on
     the compensated motion, failing battery on the raw motion, symmetry
@@ -284,7 +349,6 @@ def run_bridge_demo(
         with_drift_ladder=True,
         qv_time=0.9,
         block=block,
-        n_workers=n_workers,
     )
 
 
@@ -308,20 +372,21 @@ def run_section5_integral(
     battery = IncrementRegressionAccumulator(pairs, default_basis())
     wanted = battery.times_needed
     worst_gap = 0.0
-    done = 0
-    while done < n_paths:
-        take = min(block, n_paths - done)
-        ens = simulate_brownian(grid, take, seedspec, first_path_index=done)
-        x = realize_X(spec, ens.values)
-        dec = compensate_brownian(spec, ens, x)
+
+    def integrate(values: np.ndarray, x: np.ndarray) -> None:
+        nonlocal worst_gap
+        dec = compensate_brownian(spec, PathEnsemble(grid, values, "brownian", seedspec), x)
         integ = integrate_under_enlargement(H, dec)
         worst_gap = max(worst_gap, integ.additivity_gap())
         battery.update(
             columns_at(integ.martingale_part, times, wanted),
-            columns_at(ens.values, times, wanted),
+            columns_at(values, times, wanted),
             x,
         )
-        done += take
+
+    blocks = stream_blocks(partial(simulate_brownian, grid, seed=seedspec), partial(realize_X, spec),
+                           n_paths, block)
+    _drive(blocks, [integrate])
     return {
         "H": H.describe(),
         "n_paths": n_paths,
@@ -358,25 +423,22 @@ def run_levy_demo(
     ]
     battery = IncrementRegressionAccumulator(pairs, basis)
     wanted = battery.times_needed
+    at = np.array([grid.index_of(u) for u in wanted])
     sums = {s: [0.0, 0.0, 0] for s in (0.25, 0.5)}
-    done = 0
-    while done < n_paths:
-        take = min(block, n_paths - done)
-        ens = simulate_compound_poisson(grid, rate, sampler, take, seedspec, first_path_index=done)
-        z = ens.values
-        zt = z[:, -1]
-        dec = levy_bridge_compensator(ens, zt, pin_time=pin)
-        battery.update(
-            columns_at(dec.martingale_part, times, wanted),
-            columns_at(z, times, wanted),
-            zt,
-        )
+    label = f"compound_poisson(rate={rate},jumps={sampler.name})"
+
+    def certify(z: np.ndarray, zt: np.ndarray) -> None:
+        fv = levy_bridge_compensator(PathEnsemble(grid, z, label, seedspec), zt, pin, at=at)
+        z_cols = columns_at(z, times, wanted)
+        battery.update({u: z_cols[u] - fv[:, j] for j, u in enumerate(wanted)}, z_cols, zt)
         for s, acc in sums.items():
             d = zt - z[:, grid.index_of(s)]
             acc[0] += float(np.sum(d))
-            acc[1] += float(np.dot(d, d))
-            acc[2] += take
-        done += take
+            acc[1] += vdot(d, d)
+            acc[2] += zt.size
+
+    simulate = partial(simulate_compound_poisson, grid, rate, sampler, seed=seedspec)
+    _drive(stream_blocks(simulate, _terminal_value, n_paths, block), [certify])
     terminal_mean = {}
     for s, (sm, sq, n) in sums.items():
         mean = sm / n
@@ -405,12 +467,13 @@ def run_lookahead_demo(
     n_paths: int,
     seed: int,
     delta: float = 0.25,
+    n_workers: int | None = None,
 ) -> dict:
     """Elementary look-ahead integrands on dyadic grids: sup-norm collapse
     with integral mean pinned at 1."""
     n_max = max(levels)
     grid = build_grid(1.0, 2**n_max)
-    ens = simulate_brownian(grid, n_paths, SeedSpec(seed))
+    ens = simulate_brownian(grid, n_paths, SeedSpec(seed), n_workers)
     rep = non_integrator_demo(ens.values, grid.nodes, epsilon, levels, delta)
     return {
         "epsilon": epsilon,
@@ -461,12 +524,8 @@ def run_jeulin_probe(
     rung_idx = np.arange(PROBE_BASE_STEPS - 1, grid.n_nodes)
     acc = JeulinProbeAccumulator(A, times, rung_idx, ceiling, cauchy_tol)
     seedspec = SeedSpec(seed)
-    done = 0
-    while done < n_paths:
-        take = min(block, n_paths - done)
-        ens = simulate_brownian(grid, take, seedspec, first_path_index=done)
-        acc.update(ens.values, ens.values[:, -1])
-        done += take
+    blocks = stream_blocks(partial(simulate_brownian, grid, seed=seedspec), _terminal_value, n_paths, block)
+    _drive(blocks, [acc.update])
     rep = acc.report()
     return {
         "case": case,

@@ -24,9 +24,19 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .paths import PathEnsemble, SeedSpec
+from .paths import PathEnsemble, SeedSpec, row_slices
 
 DEFAULT_THRESHOLD = 4.0
+
+
+def vdot(a: np.ndarray, b: np.ndarray) -> float:
+    """Σ a_i b_i over two per-path vectors.
+
+    Summed by einsum rather than a BLAS dot: a multi-threaded BLAS wakes
+    its workers for a dot this long, which on a small machine can cost
+    milliseconds per call against microseconds for the sum itself.
+    """
+    return float(np.einsum("i,i->", a, b))
 
 
 @dataclass(frozen=True)
@@ -133,7 +143,7 @@ class IncrementRegressionAccumulator:
             for j, g in enumerate(self.basis):
                 y = incr * g.fn(ws, x)
                 self._sum[i, j] += float(np.sum(y))
-                self._sumsq[i, j] += float(np.dot(y, y))
+                self._sumsq[i, j] += vdot(y, y)
 
     def report(self, threshold: float = DEFAULT_THRESHOLD, seeds: SeedSpec | None = None) -> MartingaleTestReport:
         n = self._n
@@ -216,10 +226,19 @@ class QVAccumulator:
         self._sumsq = 0.0
         self._n = 0
 
-    def update(self, values: np.ndarray) -> None:
-        qv = np.sum(np.diff(values[:, : self.k + 1], axis=1) ** 2, axis=1)
+    def update(self, values: np.ndarray, fv: np.ndarray | None = None) -> None:
+        """Adds per-path Σ(ΔM)² on [0, t] for M = values − fv, summed from
+        the increments ΔW − ΔA one row slice at a time, so M itself is
+        never formed."""
+        k = self.k
+        qv = np.empty(values.shape[0])
+        for rows in row_slices(values.shape[0], k):
+            d = np.diff(values[rows, : k + 1], axis=1)
+            if fv is not None:
+                d -= np.diff(fv[rows, : k + 1], axis=1)
+            qv[rows] = np.einsum("ij,ij->i", d, d)
         self._sum += float(np.sum(qv))
-        self._sumsq += float(np.dot(qv, qv))
+        self._sumsq += vdot(qv, qv)
         self._n += qv.size
 
     def report(self, expected: float, rel_tol: float) -> QVReport:

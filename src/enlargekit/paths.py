@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -18,6 +18,28 @@ from .grid import TimeGrid
 # Paths are filled in fixed-size chunks; the chunk size is part of no
 # contract (values are per-path) but keeps memory bounded.
 _CHUNK = 16384
+
+# Row slices of a path matrix hold about this many bytes: small enough
+# that a slice's scratch is negligible next to a path block, large enough
+# that numpy's per-call overhead is too.
+SLICE_BYTES = 1 << 21
+
+
+def row_slices(n_rows: int, n_cols: int) -> Iterator[slice]:
+    """Consecutive row slices covering a (n_rows, n_cols) float matrix,
+    each about ``SLICE_BYTES`` large."""
+    step = max(1, SLICE_BYTES // (8 * max(n_cols, 1)))
+    for lo in range(0, n_rows, step):
+        yield slice(lo, min(lo + step, n_rows))
+
+
+def _value_matrix(n_paths: int, n_nodes: int, out: np.ndarray | None) -> np.ndarray:
+    """The first ``n_paths`` rows of ``out``, or a new matrix without it."""
+    if out is None:
+        return np.empty((n_paths, n_nodes), dtype=float)
+    if out.dtype != float or out.ndim != 2 or out.shape[0] < n_paths or out.shape[1] != n_nodes:
+        raise ValueError(f"output buffer {out.shape} cannot hold {n_paths} paths x {n_nodes} nodes")
+    return out[:n_paths]
 
 
 @dataclass(frozen=True)
@@ -113,18 +135,21 @@ def simulate_brownian(
     seed: SeedSpec,
     n_workers: int | None = None,
     first_path_index: int = 0,
+    out: np.ndarray | None = None,
 ) -> PathEnsemble:
     """Standard Brownian paths: independent centered Gaussian increments
     with variance equal to each grid step, value 0 at the first node.
 
     ``first_path_index`` shifts the substream indices so a large ensemble
-    can be produced block by block, bit-identical to one-shot simulation.
+    can be produced block by block, bit-identical to one-shot simulation;
+    ``out`` lets a block loop refill one value matrix instead of
+    allocating a new one per block.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
     sqrt_steps = np.sqrt(grid.steps)
     n_incr = sqrt_steps.size
-    values = np.empty((n_paths, grid.n_nodes), dtype=float)
+    values = _value_matrix(n_paths, grid.n_nodes, out)
     values[:, 0] = 0.0
 
     def fill(lo: int, hi: int) -> None:
@@ -189,11 +214,13 @@ def simulate_compound_poisson(
     seed: SeedSpec,
     n_workers: int | None = None,
     first_path_index: int = 0,
+    out: np.ndarray | None = None,
 ) -> PathEnsemble:
     """Compound Poisson paths recorded at grid nodes.
 
     Jumps are placed exactly (uniform arrival times given the count) and
-    the piecewise-constant path is read off at the nodes.
+    the piecewise-constant path is read off at the nodes.  ``first_path_index``
+    and ``out`` serve block loops as in :func:`simulate_brownian`.
     """
     if rate < 0:
         raise ValueError("jump rate must be nonnegative")
@@ -201,7 +228,7 @@ def simulate_compound_poisson(
         raise ValueError("need at least one path")
     horizon = grid.horizon
     nodes = grid.nodes
-    values = np.zeros((n_paths, grid.n_nodes), dtype=float)
+    values = _value_matrix(n_paths, grid.n_nodes, out)
 
     def fill(lo: int, hi: int) -> None:
         rk = _Rekeyed(seed.base_seed)
@@ -209,6 +236,7 @@ def simulate_compound_poisson(
             rng = rk.rekey(first_path_index + i)
             k = rng.poisson(rate * horizon)
             if k == 0:
+                values[i] = 0.0
                 continue
             times = np.sort(rng.uniform(0.0, horizon, k))
             sizes = jump_sampler.draw(rng, k)

@@ -196,3 +196,29 @@ def test_spec_horizon_consistency():
     grid = build_grid(1.0, 16)  # ends exactly at the info horizon
     with pytest.raises(EnlargementError):
         EnlargementSpec(indicator(1.0), grid, epsilon_exclusion=0.25)
+
+
+def test_decomposition_rejects_non_finite_gap():
+    t = np.array([0.0, 0.5, 1.0])
+    original = np.array([[0.0, 0.5, 1.0]])
+    with pytest.raises(EnlargementError):
+        DecomposedProcess(t, original, np.array([[0.0, np.nan, 1.0]]), np.zeros((1, 3)), "nan")
+
+
+def test_drift_compensator_rejects_non_finite_paths(bridge_setup):
+    spec, ens, x = bridge_setup
+    values = ens.values[:3].copy()
+    values[1, 5] = np.nan
+    with pytest.raises(EnlargementError):
+        drift_compensator(spec, values, x[:3])
+
+
+def test_levy_compensator_at_nodes_matches_full_decomposition():
+    grid = bridge_grid(64, include=(0.25, 0.75))
+    ens = simulate_compound_poisson(grid, 3.0, rademacher_jumps(), 500, SEED)
+    pin = float(grid.nodes[-1])
+    zt = ens.values[:, -1]
+    full = levy_bridge_compensator(ens, zt, pin_time=pin).fv_part
+    at = [0, grid.index_of(0.25), grid.index_of(0.75), grid.n_nodes - 1]
+    cols = levy_bridge_compensator(ens, zt, pin_time=pin, at=at)
+    assert np.allclose(cols, full[:, at], rtol=1e-12, atol=1e-12)
