@@ -35,6 +35,8 @@ NOT_SEMIMARTINGALE = "NOT_SEMIMARTINGALE"
 NOT_DEFINED = "NOT_DEFINED"
 
 DEFAULT_RUNGS = 40
+# the geometric-decay test reads the last 7 increments
+MIN_RUNGS = 7
 DEFAULT_CEILING = 1e6
 # |fitted decay exponent - 1| below this margin is not decidable numerically
 EXPONENT_MARGIN = 0.04
@@ -74,13 +76,16 @@ def _strip_integral(f: Callable, T: float, lo: float, hi: float) -> float:
 def improper_endpoint_integral(
     f: Callable,
     T: float,
-    tol: float = 1e-9,
     eps0: float | None = None,
     max_rungs: int = DEFAULT_RUNGS,
     ceiling: float = DEFAULT_CEILING,
 ) -> LadderResult:
     """Classify and (when finite) evaluate ∫₀^T f(s) ds for f ≥ 0 with a
     possible endpoint blow-up at T."""
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"horizon T must be positive and finite, got {T!r}")
+    if max_rungs < MIN_RUNGS:
+        raise ValueError(f"need at least {MIN_RUNGS} rungs, got {max_rungs}")
     if eps0 is None:
         eps0 = T / 2.0
     eps = eps0 * 2.0 ** -np.arange(0, max_rungs + 1)
@@ -133,7 +138,6 @@ def improper_endpoint_integral(
 def jeulin_yor_functional(
     m: DeterministicIntegrand,
     T: float,
-    tol: float = 1e-9,
     max_rungs: int = DEFAULT_RUNGS,
     ceiling: float = DEFAULT_CEILING,
 ) -> LadderResult:
@@ -143,13 +147,12 @@ def jeulin_yor_functional(
         s = np.asarray(s, dtype=float)
         return np.abs(m(s)) / np.sqrt(np.maximum(T - s, 1e-300))
 
-    return improper_endpoint_integral(f, T, tol, max_rungs=max_rungs, ceiling=ceiling)
+    return improper_endpoint_integral(f, T, max_rungs=max_rungs, ceiling=ceiling)
 
 
 def l2_norm(
     m: DeterministicIntegrand,
     T: float,
-    tol: float = 1e-9,
     max_rungs: int = DEFAULT_RUNGS,
     ceiling: float = DEFAULT_CEILING,
 ) -> LadderResult:
@@ -159,7 +162,7 @@ def l2_norm(
         v = np.asarray(m(s), dtype=float)
         return v * v
 
-    return improper_endpoint_integral(f, T, tol, max_rungs=max_rungs, ceiling=ceiling)
+    return improper_endpoint_integral(f, T, max_rungs=max_rungs, ceiling=ceiling)
 
 
 @dataclass(frozen=True)
@@ -184,14 +187,13 @@ class ClassificationVerdict:
 def classify(
     m: DeterministicIntegrand,
     T: float,
-    tol: float = 1e-9,
     max_rungs: int = DEFAULT_RUNGS,
     ceiling: float = DEFAULT_CEILING,
 ) -> ClassificationVerdict:
     """SEMIMARTINGALE / NOT_SEMIMARTINGALE / NOT_DEFINED / UNDECIDED for m•W
     under enlargement by the terminal value at T."""
-    l2 = l2_norm(m, T, tol, max_rungs, ceiling)
-    jy = jeulin_yor_functional(m, T, tol, max_rungs, ceiling)
+    l2 = l2_norm(m, T, max_rungs, ceiling)
+    jy = jeulin_yor_functional(m, T, max_rungs, ceiling)
     if l2.status == DIVERGES:
         verdict = NOT_DEFINED
     elif l2.status == UNDECIDED or jy.status == UNDECIDED:

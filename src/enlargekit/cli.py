@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -55,6 +56,14 @@ def _parse_pairs(text: str) -> list[tuple[float, float]]:
         s, _, t = chunk.partition(":")
         pairs.append((float(s), float(t)))
     return pairs
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return x
 
 
 def _parse_epsilon(text: str) -> float:
@@ -105,12 +114,11 @@ def cmd_classify(args) -> int:
         m = parse_integrand(args.m)
     else:
         m = jeulin_yor(args.alpha, args.T)
-    verdict = classify(m, args.T, tol=args.tol, max_rungs=args.rungs)
+    verdict = classify(m, args.T, max_rungs=args.rungs)
     report = {
         "command": "classify",
         "family": verdict.family,
         "T": verdict.T,
-        "tol": args.tol,
         "rungs": args.rungs,
         "jy_value": verdict.jy.value if verdict.jy.is_finite else verdict.jy.status,
         "l2_value": verdict.l2.value if verdict.l2.is_finite else verdict.l2.status,
@@ -313,14 +321,14 @@ def _add_common(p: argparse.ArgumentParser, paths: int, steps: int | None = None
     p.add_argument("--paths", type=int, default=paths)
     if steps is not None:
         p.add_argument("--steps", type=int, default=steps, help="uniform base steps")
-    p.add_argument("--threshold", type=float, default=4.0, help="|z| limit per test")
+    p.add_argument("--threshold", type=_finite_float, default=4.0, help="|z| limit per test")
     p.add_argument("--out", default=None, help="directory for JSON/CSV reports")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap simulation workers of the one-shot simulations (mg-test, "
-                        "lookahead-demo); streamed commands simulate one block at a time "
-                        "and ignore it (never changes results)")
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit the timestamp field for byte-identical reports")
+
+
+def _add_threads(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--threads", type=int, default=None, help="cap the simulation workers (never changes results)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,10 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("classify", help="integrability verdict for m•W under terminal-value enlargement")
     q.add_argument("--family", choices=["jy"], default="jy")
-    q.add_argument("--alpha", type=float, default=0.75)
-    q.add_argument("--T", type=float, default=1.0)
+    q.add_argument("--alpha", type=_finite_float, default=0.75)
+    q.add_argument("--T", type=_finite_float, default=1.0)
     q.add_argument("--m", default=None, help="explicit integrand spec, e.g. const:c=1,T=1")
-    q.add_argument("--tol", type=float, default=1e-9)
     q.add_argument("--rungs", type=int, default=40)
     q.add_argument("--out", default=None)
     q.add_argument("--no-timestamp", action="store_true")
@@ -352,13 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("mg-test", help="martingale battery + Brownian characterization of a raw process")
     _add_common(q, paths=50_000, steps=256)
+    _add_threads(q)
     q.add_argument("--process", choices=["brownian", "drifted"], default="brownian")
-    q.add_argument("--drift", type=float, default=0.5)
+    q.add_argument("--drift", type=_finite_float, default=0.5)
     q.set_defaults(fn=cmd_mg_test)
 
     q = sub.add_parser("levy-demo", help="terminal-pinned compensation of a compound Poisson path")
     _add_common(q, paths=100_000, steps=512)
-    q.add_argument("--rate", type=float, default=1.0)
+    q.add_argument("--rate", type=_finite_float, default=1.0)
     q.add_argument("--jumps", default="pm1", help="pm1 | const:<c> | normal:mu=..,sigma=..")
     q.add_argument("--pairs", default="0.25:0.5,0.5:0.75")
     q.set_defaults(fn=cmd_levy_demo)
@@ -373,9 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("lookahead-demo", help="look-ahead filtration non-integrator demonstration")
     _add_common(q, paths=10_000)
+    _add_threads(q)
     q.add_argument("--epsilon", default="2^-6", help="look-ahead margin (accepts 2^-k)")
     q.add_argument("--levels", default="8,10,12")
-    q.add_argument("--delta", type=float, default=0.25)
+    q.add_argument("--delta", type=_finite_float, default=0.25)
     q.set_defaults(fn=cmd_lookahead_demo)
 
     q = sub.add_parser("jeulin-probe", help="two-sided probe of the a.s. integral-finiteness equivalence")

@@ -21,6 +21,7 @@ import numpy as np
 from .grid import TimeGrid
 from .integrands import DeterministicIntegrand, residual_variance, running_mean
 from .classifier import SEMIMARTINGALE, classify
+from .mgtests import Moments
 from .paths import PathEnsemble, row_slices
 
 # Stieltjes sums beyond this are reported as non-integrable rather than
@@ -224,14 +225,13 @@ def compensate_martingale(
     m_integrand: DeterministicIntegrand,
     ensemble: PathEnsemble,
     x,
-    tol: float = 1e-9,
 ) -> DecomposedProcess:
     """M = m•W compensated by ∫ ρ(X, s) m_s ds.
 
     Refuses (rather than warns) whenever the integrability classifier
     does not certify that the compensated object exists.
     """
-    verdict = classify(m_integrand, spec.info_horizon, tol)
+    verdict = classify(m_integrand, spec.info_horizon)
     if verdict.verdict != SEMIMARTINGALE:
         raise RefusedNonSemimartingaleError(verdict)
     values = np.atleast_2d(np.asarray(ensemble.values, dtype=float))
@@ -313,6 +313,18 @@ class SlopeReport:
     expected: float
     n_paths: int
 
+    @classmethod
+    def through_origin(cls, m: Moments, s: float, t: float, expected: float) -> "SlopeReport":
+        """Least-squares slope through the origin of y on u, read from the
+        co-moments of the per-path pair (u, y) via Σab = C_ab + n·ā·b̄."""
+        n = m.n
+        raw = m.m2 + n * np.outer(m.mean, m.mean)
+        suu, suy, syy = float(raw[0, 0]), float(raw[0, 1]), float(raw[1, 1])
+        slope = suy / suu
+        rss = max(syy - slope * suy, 0.0)
+        se = math.sqrt(rss / (n - 1) / suu)
+        return cls(float(s), float(t), slope, se, float(expected), n)
+
     @property
     def z(self) -> float:
         gap = self.slope - self.expected
@@ -329,19 +341,9 @@ def symmetry_identity_check(
     if t <= s:
         raise ValueError("need s < t")
     ws = ensemble.at_time(s)
-    wt = ensemble.at_time(t)
-    x = ensemble.values[:, -1] - ws
-    y = wt - ws
-    return _slope_through_origin(x, y, s, t, (t - s) / (pin_time - s))
-
-
-def _slope_through_origin(x, y, s, t, expected) -> SlopeReport:
-    n = x.size
-    sxx = float(np.dot(x, x))
-    slope = float(np.dot(x, y)) / sxx
-    resid = y - slope * x
-    se = math.sqrt(float(np.dot(resid, resid)) / (n - 1) / sxx)
-    return SlopeReport(float(s), float(t), slope, se, float(expected), n)
+    m = Moments(2, cross=True)
+    m.update(np.stack((ensemble.values[:, -1] - ws, ensemble.at_time(t) - ws)))
+    return SlopeReport.through_origin(m, s, t, (t - s) / (pin_time - s))
 
 
 def drift_magnitude_weights(times: np.ndarray, pin_time: float = 1.0) -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .enlargement import (
     EnlargementSpec,
+    SlopeReport,
     abs_drift_integral_paths,
     compensate_brownian,
     drift_compensator,
@@ -36,6 +37,7 @@ from .mgtests import (
     BasisFunction,
     IncrementRegressionAccumulator,
     JeulinProbeAccumulator,
+    Moments,
     QVAccumulator,
     columns_at,
     default_basis,
@@ -43,7 +45,6 @@ from .mgtests import (
     non_integrator_demo,
     probe_log_divergent,
     probe_power_quarter,
-    vdot,
 )
 from .paths import (
     JumpSampler,
@@ -128,28 +129,9 @@ class _Compensation:
         return {u: w - fv[u] for u, w in cols.items()}
 
 
-class _CorrAccumulator:
-    """Streaming Pearson correlation."""
-
-    def __init__(self):
-        self._s = np.zeros(5)
-        self._n = 0
-
-    def update(self, a: np.ndarray, b: np.ndarray) -> None:
-        self._s += (a.sum(), b.sum(), (a * b).sum(), (a * a).sum(), (b * b).sum())
-        self._n += a.size
-
-    def corr(self) -> float:
-        sa, sb, sab, saa, sbb = self._s
-        n = self._n
-        cov = sab / n - (sa / n) * (sb / n)
-        va = saa / n - (sa / n) ** 2
-        vb = sbb / n - (sb / n) ** 2
-        return float(cov / math.sqrt(va * vb))
-
-    @property
-    def n(self) -> int:
-        return self._n
+def _corr(m: Moments) -> float:
+    """Pearson correlation of the two statistics of a cross ``Moments(2)``."""
+    return float(m.m2[0, 1] / math.sqrt(m.m2[0, 0] * m.m2[1, 1]))
 
 
 class _SlopeAccumulator:
@@ -158,35 +140,15 @@ class _SlopeAccumulator:
     def __init__(self, grid: TimeGrid, s: float, t: float, expected: float):
         self.s, self.t, self.expected = float(s), float(t), float(expected)
         self._ks, self._kt = grid.index_of(s), grid.index_of(t)
-        self._sxx = 0.0
-        self._sxy = 0.0
-        self._syy = 0.0
-        self._n = 0
+        self._moments = Moments(2, cross=True)
 
     def update(self, values: np.ndarray, x: np.ndarray) -> None:
         ws = values[:, self._ks]
-        u = x - ws
-        y = values[:, self._kt] - ws
-        self._sxx += vdot(u, u)
-        self._sxy += vdot(u, y)
-        self._syy += vdot(y, y)
-        self._n += u.size
+        self._moments.update(np.stack((x - ws, values[:, self._kt] - ws)))
 
     def report(self) -> dict:
-        slope = self._sxy / self._sxx
-        rss = max(self._syy - slope * self._sxy, 0.0)
-        se = math.sqrt(rss / (self._n - 1) / self._sxx)
-        gap = slope - self.expected
-        z = gap / se if se > 0 else (0.0 if abs(gap) < 1e-9 else math.inf)
-        return {
-            "s": self.s,
-            "t": self.t,
-            "slope": slope,
-            "se": se,
-            "expected": self.expected,
-            "z": z,
-            "n_paths": self._n,
-        }
+        r = SlopeReport.through_origin(self._moments, self.s, self.t, self.expected)
+        return {**vars(r), "z": r.z}
 
 
 class _DriftLadder:
@@ -198,28 +160,21 @@ class _DriftLadder:
         h = pin / n_base
         self.times, self.pin = times, pin
         self.indices = np.nonzero(times >= pin - h - 1e-12)[0]
-        self._sum = np.zeros(self.indices.size)
-        self._sumsq = np.zeros(self.indices.size)
-        self._n = 0
+        self._moments = Moments(self.indices.size)
 
     def update(self, values: np.ndarray, x: np.ndarray) -> None:
         vals = abs_drift_integral_paths(values, self.times, x, self.indices, self.pin)
-        self._sum += vals.sum(axis=0)
-        self._sumsq += (vals * vals).sum(axis=0)
-        self._n += vals.shape[0]
+        self._moments.update(vals.T)
 
     def report(self) -> dict:
-        n = self._n
-        mean = self._sum / n
-        var = np.maximum(self._sumsq / n - mean**2, 0.0) * n / (n - 1)
-        se = np.sqrt(var / n)
         rungs = []
-        for eps, m, s in zip(self.pin - self.times[self.indices], mean, se):
+        truncations = (self.pin - self.times[self.indices]).tolist()
+        for eps, m, s in zip(truncations, self._moments.mean.tolist(), self._moments.se().tolist()):
             bound = ABS_DRIFT_CONSTANT * math.sqrt(eps)
             rungs.append({
-                "eps": float(eps),
-                "mean": float(m),
-                "se": float(s),
+                "eps": eps,
+                "mean": m,
+                "se": s,
                 "truncation_bound": bound,
                 "target": ABS_DRIFT_CONSTANT,
                 "within": bool(abs(m - ABS_DRIFT_CONSTANT) <= 4.0 * s + bound),
@@ -265,8 +220,8 @@ def run_enlargement_demo(
         else None
     )
     wanted = battery.times_needed
-    corr_comp = _CorrAccumulator()
-    corr_raw = _CorrAccumulator()
+    corr_comp = Moments(2, cross=True)
+    corr_raw = Moments(2, cross=True)
     corr_time = max(t for _, t in pairs)
     qv = QVAccumulator(grid.index_of(qv_time), qv_time) if qv_time is not None else None
     comp = _Compensation(spec)
@@ -277,8 +232,8 @@ def run_enlargement_demo(
         battery.update(wt_cols, w_cols, x)
         if negative is not None:
             negative.update(w_cols, w_cols, x)
-        corr_comp.update(wt_cols[corr_time], x)
-        corr_raw.update(w_cols[corr_time], x)
+        corr_comp.update(np.stack((wt_cols[corr_time], x)))
+        corr_raw.update(np.stack((w_cols[corr_time], x)))
         if qv is not None:
             qv.update(values, comp.fv)
 
@@ -307,8 +262,8 @@ def run_enlargement_demo(
         "threshold": threshold,
         "pairs": [list(p) for p in pairs],
         "battery": battery.report(threshold, seedspec).to_dict(),
-        "pinning_corr_compensated": corr_comp.corr(),
-        "pinning_corr_raw": corr_raw.corr(),
+        "pinning_corr_compensated": _corr(corr_comp),
+        "pinning_corr_raw": _corr(corr_raw),
         "pinning_time": corr_time,
     }
     if negative is not None:
@@ -424,25 +379,21 @@ def run_levy_demo(
     battery = IncrementRegressionAccumulator(pairs, basis)
     wanted = battery.times_needed
     at = np.array([grid.index_of(u) for u in wanted])
-    sums = {s: [0.0, 0.0, 0] for s in (0.25, 0.5)}
+    mean_times = (0.25, 0.5)
+    mean_cols = [grid.index_of(s) for s in mean_times]
+    increments = Moments(len(mean_times))
     label = f"compound_poisson(rate={rate},jumps={sampler.name})"
 
     def certify(z: np.ndarray, zt: np.ndarray) -> None:
         fv = levy_bridge_compensator(PathEnsemble(grid, z, label, seedspec), zt, pin, at=at)
         z_cols = columns_at(z, times, wanted)
         battery.update({u: z_cols[u] - fv[:, j] for j, u in enumerate(wanted)}, z_cols, zt)
-        for s, acc in sums.items():
-            d = zt - z[:, grid.index_of(s)]
-            acc[0] += float(np.sum(d))
-            acc[1] += vdot(d, d)
-            acc[2] += zt.size
+        increments.update(zt - z[:, mean_cols].T)
 
     simulate = partial(simulate_compound_poisson, grid, rate, sampler, seed=seedspec)
     _drive(stream_blocks(simulate, _terminal_value, n_paths, block), [certify])
     terminal_mean = {}
-    for s, (sm, sq, n) in sums.items():
-        mean = sm / n
-        se = math.sqrt(max(sq / n - mean**2, 0.0) / (n - 1))
+    for s, mean, se in zip(mean_times, increments.mean.tolist(), increments.se().tolist()):
         expected = rate * sampler.mean * (pin - s)
         terminal_mean[s] = {
             "mean": mean, "se": se, "expected": expected,

@@ -29,14 +29,55 @@ from .paths import PathEnsemble, SeedSpec, row_slices
 DEFAULT_THRESHOLD = 4.0
 
 
-def vdot(a: np.ndarray, b: np.ndarray) -> float:
-    """Σ a_i b_i over two per-path vectors.
+class Moments:
+    """Count, means and centred second moments of k per-path statistics.
 
-    Summed by einsum rather than a BLAS dot: a multi-threaded BLAS wakes
-    its workers for a dot this long, which on a small machine can cost
-    milliseconds per call against microseconds for the sum itself.
+    A block is reduced in two passes (its mean, then its deviations from
+    that mean) and merged into the totals with the pairwise update of
+    Chan, Golub & LeVeque (1979), so no variance is ever the difference of
+    two large sums, and splitting the paths into blocks moves results
+    only at round-off.  With ``cross`` the full k × k co-moment matrix
+    Σ(a − ā)(b − b̄) is kept; without it, only its diagonal.
+
+    Reductions run through einsum rather than BLAS: a multi-threaded BLAS
+    wakes its workers for a product this thin, which on a small machine
+    costs milliseconds per call against microseconds for the sums.
     """
-    return float(np.einsum("i,i->", a, b))
+
+    def __init__(self, k: int, cross: bool = False):
+        self.cross = cross
+        self.n = 0
+        self.mean = np.zeros(k)
+        self.m2 = np.zeros((k, k) if cross else k)
+
+    def update(self, block) -> None:
+        """Folds in one block: a (k × paths) array, one row per statistic
+        (a plain per-path vector when k = 1)."""
+        block = np.atleast_2d(block)
+        nb = block.shape[1]
+        if nb == 0:
+            return
+        mean = block.sum(axis=1) / nb
+        if self.cross:
+            d = block - mean[:, None]
+            m2 = np.einsum("ij,kj->ik", d, d)
+        else:  # a row at a time: a second (k × paths) temporary costs more than the sums
+            devs = (row - mu for row, mu in zip(block, mean))
+            m2 = np.array([np.einsum("i,i->", d, d) for d in devs])
+        self._fold(nb, mean, m2)
+
+    def _fold(self, nb: int, mean: np.ndarray, m2: np.ndarray) -> None:
+        n = self.n + nb
+        delta = mean - self.mean
+        shift = np.outer(delta, delta) if self.cross else delta * delta
+        self.m2 = self.m2 + m2 + shift * (self.n * nb / n)
+        self.mean = self.mean + delta * (nb / n)
+        self.n = n
+
+    def se(self) -> np.ndarray:
+        """Standard error of each mean, from the n − 1 sample variance."""
+        m2 = np.diagonal(self.m2) if self.cross else self.m2
+        return np.sqrt(m2 / max(self.n - 1, 1) / self.n)
 
 
 @dataclass(frozen=True)
@@ -111,8 +152,8 @@ class MartingaleTestReport:
 
 
 class IncrementRegressionAccumulator:
-    """Streaming sums for the weak-form battery; block order does not
-    change the result beyond fixed-order floating addition."""
+    """Streaming moments of the weak-form battery's products
+    (M_t − M_s)·g(W_s, X), one statistic per (pair, basis function)."""
 
     def __init__(self, pairs: Sequence[tuple[float, float]], basis: Sequence[BasisFunction]):
         if not basis:
@@ -122,9 +163,7 @@ class IncrementRegressionAccumulator:
                 raise ValueError(f"need s < t, got ({s}, {t})")
         self.pairs = [(float(s), float(t)) for s, t in pairs]
         self.basis = list(basis)
-        self._sum = np.zeros((len(self.pairs), len(self.basis)))
-        self._sumsq = np.zeros_like(self._sum)
-        self._n = 0
+        self._moments = Moments(len(self.pairs) * len(self.basis))
 
     @property
     def times_needed(self) -> list[float]:
@@ -136,30 +175,26 @@ class IncrementRegressionAccumulator:
         cond_at: Mapping[float, np.ndarray],
         x: np.ndarray,
     ) -> None:
-        self._n += x.size
+        y = np.empty((len(self.pairs), len(self.basis), x.size))
         for i, (s, t) in enumerate(self.pairs):
             incr = proc_at[t] - proc_at[s]
             ws = cond_at[s]
             for j, g in enumerate(self.basis):
-                y = incr * g.fn(ws, x)
-                self._sum[i, j] += float(np.sum(y))
-                self._sumsq[i, j] += vdot(y, y)
+                np.multiply(incr, g.fn(ws, x), out=y[i, j])
+        self._moments.update(y.reshape(-1, x.size))
 
     def report(self, threshold: float = DEFAULT_THRESHOLD, seeds: SeedSpec | None = None) -> MartingaleTestReport:
-        n = self._n
-        if n < 2:
+        m = self._moments
+        if m.n < 2:
             raise ValueError("not enough paths accumulated")
         records = []
-        for i, (s, t) in enumerate(self.pairs):
-            for j, g in enumerate(self.basis):
-                est = float(self._sum[i, j]) / n
-                var = max(float(self._sumsq[i, j]) / n - est * est, 0.0) * n / (n - 1)
-                se = math.sqrt(var / n)
-                z = est / se if se > 0 else (0.0 if est == 0 else math.inf)
-                records.append(TestRecord(s, t, g.label, est, se, z))
+        tests = [(s, t, g.label) for s, t in self.pairs for g in self.basis]
+        for (s, t, label), est, se in zip(tests, m.mean.tolist(), m.se().tolist()):
+            z = est / se if se > 0 else (0.0 if est == 0 else math.inf)
+            records.append(TestRecord(s, t, label, est, se, z))
         verdict = all(abs(r.z) <= threshold for r in records)
         correction = f"bonferroni({len(records)} tests, |z|<={threshold:g})"
-        return MartingaleTestReport(tuple(records), n, correction, threshold, verdict, seeds)
+        return MartingaleTestReport(tuple(records), m.n, correction, threshold, verdict, seeds)
 
 
 def columns_at(values: np.ndarray, times: np.ndarray, wanted: Sequence[float]) -> dict[float, np.ndarray]:
@@ -222,9 +257,7 @@ class QVAccumulator:
     def __init__(self, node_index: int, t: float):
         self.k = int(node_index)
         self.t = float(t)
-        self._sum = 0.0
-        self._sumsq = 0.0
-        self._n = 0
+        self._moments = Moments(1)
 
     def update(self, values: np.ndarray, fv: np.ndarray | None = None) -> None:
         """Adds per-path Σ(ΔM)² on [0, t] for M = values − fv, summed from
@@ -237,15 +270,11 @@ class QVAccumulator:
             if fv is not None:
                 d -= np.diff(fv[rows, : k + 1], axis=1)
             qv[rows] = np.einsum("ij,ij->i", d, d)
-        self._sum += float(np.sum(qv))
-        self._sumsq += vdot(qv, qv)
-        self._n += qv.size
+        self._moments.update(qv)
 
     def report(self, expected: float, rel_tol: float) -> QVReport:
-        n = self._n
-        mean = self._sum / n
-        var = max(self._sumsq / n - mean * mean, 0.0) * n / max(n - 1, 1)
-        return QVReport(self.t, float(expected), mean, math.sqrt(var / n), float(rel_tol), n)
+        m = self._moments
+        return QVReport(self.t, float(expected), float(m.mean[0]), float(m.se()[0]), float(rel_tol), m.n)
 
 
 def quadratic_variation_test(

@@ -43,6 +43,34 @@ def test_config_error_exit_codes(tmp_path):
     assert main(["drift-sim", "--phi", "nope:z=1", "--paths", "100", "--steps", "16"]) == EXIT_CONFIG
 
 
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--alpha", "nan"],
+    ["classify", "--T", "nan"],
+    ["classify", "--T", "-1"],
+    ["classify", "--rungs", "0"],
+    ["mg-test", "--threshold", "nan", "--paths", "100", "--steps", "16"],
+    ["mg-test", "--process", "drifted", "--drift", "inf", "--paths", "100", "--steps", "16"],
+    ["levy-demo", "--rate", "nan", "--paths", "100", "--steps", "16"],
+    ["lookahead-demo", "--delta", "nan", "--paths", "100"],
+])
+def test_bad_input_is_a_config_error_before_any_work(argv, capsys):
+    assert _exit_code(argv) == EXIT_CONFIG
+    assert capsys.readouterr().out == ""
+
+
+def test_threads_is_refused_where_nothing_reads_it():
+    argv = ["--paths", "100", "--steps", "16", "--threads", "2"]
+    assert _exit_code(["bridge-demo"] + argv) == EXIT_CONFIG
+    assert _exit_code(["mg-test"] + argv) == EXIT_PASS
+
+
 def test_finite_demo_instance_file(tmp_path, capsys):
     cfg = tmp_path / "four.cfg"
     cfg.write_text(FOUR_OUTCOME)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from enlargekit.grid import build_grid
 from enlargekit.mgtests import (
     BasisFunction,
     LookaheadPredictabilityError,
+    Moments,
     increment_regression_test,
     info_minus_state_basis,
     jeulin_lemma_probe,
@@ -29,6 +32,37 @@ def test_constant_process_estimates_exactly_zero():
     )
     assert all(r.estimate == 0.0 for r in rep.tests)
     assert rep.verdict
+
+
+def test_battery_se_survives_a_shifted_constant():
+    # increments 1e8 + N(0,1): a sum of squares minus a squared mean cancels
+    # almost every digit of the variance; the two-pass value is the truth
+    n = 10_000
+    incr = 1e8 + np.random.default_rng(5).standard_normal(n)
+    values = np.column_stack((np.zeros(n), np.zeros(n), incr))
+    rep = increment_regression_test(values, np.array([0.0, 0.5, 1.0]), np.zeros(n), [(0.5, 1.0)],
+                                    own_filtration_basis()[:1])
+    want = float(np.std(incr, ddof=1)) / math.sqrt(n)
+    assert abs(rep.tests[0].se - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_moments_match_two_pass_numpy_in_any_blocking(block):
+    rng = np.random.default_rng(11)
+    a = 3.0 + rng.standard_normal(1000)
+    data = np.stack((a, 0.5 * a + rng.standard_normal(1000)))
+    cross, diag = Moments(2, cross=True), Moments(2)
+    for i in range(0, data.shape[1], block):
+        cross.update(data[:, i:i + block])
+        diag.update(data[:, i:i + block])
+    var = data.var(axis=1, ddof=1)
+    for m in (cross, diag):
+        assert m.n == 1000
+        np.testing.assert_allclose(m.mean, data.mean(axis=1), rtol=1e-12)
+        np.testing.assert_allclose(m.se(), np.sqrt(var / 1000), rtol=1e-12)
+    np.testing.assert_allclose(np.diagonal(cross.m2) / 999, var, rtol=1e-12)
+    corr = cross.m2[0, 1] / math.sqrt(cross.m2[0, 0] * cross.m2[1, 1])
+    assert abs(corr - np.corrcoef(data)[0, 1]) <= 1e-12 * abs(corr)
 
 
 def test_battery_rejects_bad_pairs_and_empty_basis():

@@ -10,7 +10,6 @@ import pytest
 
 from enlargekit.enlargement import (
     EnlargementSpec,
-    _slope_through_origin,
     compensate_brownian,
     drift_magnitude_weights,
 )
@@ -61,9 +60,12 @@ def _reference(phi, n_paths, n_base, seed):
     slopes = []
     for s, t in ((0.25, 0.5), (0.0, 1.0), (0.0, 0.5)):
         tt = min(t, float(times[-1])) if t >= pin else t
-        expected = (tt - s) / (pin - s) if t < pin else 1.0
         ws = w[:, grid.index_of(s)]
-        slopes.append(_slope_through_origin(x - ws, w[:, grid.index_of(tt)] - ws, s, tt, expected))
+        u, y = x - ws, w[:, grid.index_of(tt)] - ws
+        slope = float(np.sum(u * y) / np.sum(u * u))
+        resid = y - slope * u
+        se = math.sqrt(float(np.sum(resid * resid)) / (n_paths - 1) / float(np.sum(u * u)))
+        slopes.append({"slope": slope, "se": se})
 
     rungs = np.nonzero(times >= pin - pin / n_base - 1e-12)[0]
     dev = np.abs(x[:, None] - w)
@@ -79,7 +81,7 @@ def _reference(phi, n_paths, n_base, seed):
         "quadratic_variation": {"mean": qv.mean, "se": qv.se},
         "pinning_corr_compensated": corr(wt[:, k], x),
         "pinning_corr_raw": corr(w[:, k], x),
-        "symmetry": [{"slope": r.slope, "se": r.se} for r in slopes],
+        "symmetry": slopes,
         "ladder_mean": ladder.mean(axis=0),
         "ladder_se": ladder.std(axis=0, ddof=1) / math.sqrt(n_paths),
     }
