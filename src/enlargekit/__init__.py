@@ -27,10 +27,8 @@ from .paths import (
     simulate_compound_poisson,
 )
 from .integrands import (
-    ConditionalLaw,
     DeterministicIntegrand,
     InformationHorizonError,
-    conditional_density,
     constant,
     indicator,
     information_drift,
@@ -67,10 +65,8 @@ from .mgtests import (
     MartingaleTestReport,
     default_basis,
     increment_regression_test,
-    jeulin_lemma_probe,
     levy_characterization_suite,
     non_integrator_demo,
-    quadratic_variation_test,
 )
 from . import finitelab
 

@@ -76,18 +76,16 @@ def _strip_integral(f: Callable, T: float, lo: float, hi: float) -> float:
 def improper_endpoint_integral(
     f: Callable,
     T: float,
-    eps0: float | None = None,
     max_rungs: int = DEFAULT_RUNGS,
-    ceiling: float = DEFAULT_CEILING,
 ) -> LadderResult:
     """Classify and (when finite) evaluate ∫₀^T f(s) ds for f ≥ 0 with a
-    possible endpoint blow-up at T."""
+    possible endpoint blow-up at T.  The ladder starts at ε₀ = T/2, and
+    partial sums past ``DEFAULT_CEILING`` read as divergence."""
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"horizon T must be positive and finite, got {T!r}")
     if max_rungs < MIN_RUNGS:
         raise ValueError(f"need at least {MIN_RUNGS} rungs, got {max_rungs}")
-    if eps0 is None:
-        eps0 = T / 2.0
+    eps0 = T / 2.0
     eps = eps0 * 2.0 ** -np.arange(0, max_rungs + 1)
     head, _ = quad(f, 0.0, T - eps0, epsabs=1e-13, epsrel=1e-11, limit=300)
 
@@ -100,7 +98,7 @@ def improper_endpoint_integral(
     def result(status, value, used, p=None):
         return LadderResult(status, value, used, truncs[:used], sums[:used], incr[:used], p)
 
-    over = np.nonzero(sums > ceiling)[0]
+    over = np.nonzero(sums > DEFAULT_CEILING)[0]
     if over.size:
         return result(DIVERGES, None, int(over[0]) + 1)
 
@@ -139,7 +137,6 @@ def jeulin_yor_functional(
     m: DeterministicIntegrand,
     T: float,
     max_rungs: int = DEFAULT_RUNGS,
-    ceiling: float = DEFAULT_CEILING,
 ) -> LadderResult:
     """Ladder evaluation of ∫₀^T |m_s| (T−s)^{−1/2} ds."""
 
@@ -147,14 +144,13 @@ def jeulin_yor_functional(
         s = np.asarray(s, dtype=float)
         return np.abs(m(s)) / np.sqrt(np.maximum(T - s, 1e-300))
 
-    return improper_endpoint_integral(f, T, max_rungs=max_rungs, ceiling=ceiling)
+    return improper_endpoint_integral(f, T, max_rungs)
 
 
 def l2_norm(
     m: DeterministicIntegrand,
     T: float,
     max_rungs: int = DEFAULT_RUNGS,
-    ceiling: float = DEFAULT_CEILING,
 ) -> LadderResult:
     """Ladder evaluation of ∫₀^T m_s² ds."""
 
@@ -162,7 +158,7 @@ def l2_norm(
         v = np.asarray(m(s), dtype=float)
         return v * v
 
-    return improper_endpoint_integral(f, T, max_rungs=max_rungs, ceiling=ceiling)
+    return improper_endpoint_integral(f, T, max_rungs)
 
 
 @dataclass(frozen=True)
@@ -188,12 +184,11 @@ def classify(
     m: DeterministicIntegrand,
     T: float,
     max_rungs: int = DEFAULT_RUNGS,
-    ceiling: float = DEFAULT_CEILING,
 ) -> ClassificationVerdict:
     """SEMIMARTINGALE / NOT_SEMIMARTINGALE / NOT_DEFINED / UNDECIDED for m•W
     under enlargement by the terminal value at T."""
-    l2 = l2_norm(m, T, max_rungs, ceiling)
-    jy = jeulin_yor_functional(m, T, max_rungs, ceiling)
+    l2 = l2_norm(m, T, max_rungs)
+    jy = jeulin_yor_functional(m, T, max_rungs)
     if l2.status == DIVERGES:
         verdict = NOT_DEFINED
     elif l2.status == UNDECIDED or jy.status == UNDECIDED:

@@ -28,6 +28,7 @@ import numpy as np
 from . import experiments, finitelab
 from .integrands import jeulin_yor, parse_integrand
 from .classifier import SEMIMARTINGALE, UNDECIDED, classify
+from .enlargement import RefusedNonSemimartingaleError
 from .mgtests import (
     BasisFunction,
     increment_regression_test,
@@ -187,7 +188,7 @@ def cmd_drift_sim(args) -> int:
 
 def cmd_mg_test(args) -> int:
     grid = build_grid(1.0, args.steps)
-    ens = simulate_brownian(grid, args.paths, SeedSpec(args.seed), n_workers=args.threads)
+    ens = simulate_brownian(grid, args.paths, SeedSpec(args.seed))
     values = ens.values
     if args.process == "drifted":
         values = values + args.drift * grid.nodes
@@ -278,7 +279,7 @@ def cmd_finite_demo(args) -> int:
 def cmd_lookahead_demo(args) -> int:
     levels = [int(x) for x in args.levels.split(",")]
     report = experiments.run_lookahead_demo(
-        _parse_epsilon(args.epsilon), levels, args.paths, args.seed, args.delta, args.threads,
+        _parse_epsilon(args.epsilon), levels, args.paths, args.seed, args.delta,
     )
     report["command"] = "lookahead-demo"
     _write_report(args.out, "lookahead_demo", report, not args.no_timestamp)
@@ -327,10 +328,6 @@ def _add_common(p: argparse.ArgumentParser, paths: int, steps: int | None = None
                    help="omit the timestamp field for byte-identical reports")
 
 
-def _add_threads(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=None, help="cap the simulation workers (never changes results)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="enlargekit", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -359,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("mg-test", help="martingale battery + Brownian characterization of a raw process")
     _add_common(q, paths=50_000, steps=256)
-    _add_threads(q)
     q.add_argument("--process", choices=["brownian", "drifted"], default="brownian")
     q.add_argument("--drift", type=_finite_float, default=0.5)
     q.set_defaults(fn=cmd_mg_test)
@@ -381,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("lookahead-demo", help="look-ahead filtration non-integrator demonstration")
     _add_common(q, paths=10_000)
-    _add_threads(q)
     q.add_argument("--epsilon", default="2^-6", help="look-ahead margin (accepts 2^-k)")
     q.add_argument("--levels", default="8,10,12")
     q.add_argument("--delta", type=_finite_float, default=0.25)
@@ -402,7 +397,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError) as e:
         print(f"enlargekit: config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except RuntimeError as e:
+    except RefusedNonSemimartingaleError as e:
         print(f"enlargekit: refused: {e}", file=sys.stderr)
         return EXIT_REFUSAL
 

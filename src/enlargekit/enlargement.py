@@ -54,24 +54,18 @@ class EnlargementSpec:
 
     phi: DeterministicIntegrand
     grid: TimeGrid
-    info_horizon: float | None = None
-    sim_horizon: float | None = None
     epsilon_exclusion: float | None = None
 
     def __post_init__(self):
-        info = self.phi.support_end if self.info_horizon is None else float(self.info_horizon)
-        object.__setattr__(self, "info_horizon", info)
+        # the information horizon is where φ's support ends
+        info = self.phi.support_end
         eps = self.epsilon_exclusion
         if eps is None:
             eps = (info - self.grid.horizon) if math.isfinite(info) else self.grid.smallest_step
             eps = max(eps, 0.0)
         object.__setattr__(self, "epsilon_exclusion", float(eps))
-        sim = self.grid.horizon if self.sim_horizon is None else float(self.sim_horizon)
-        object.__setattr__(self, "sim_horizon", sim)
-        if math.isfinite(info) and self.sim_horizon > info - self.epsilon_exclusion + 1e-15:
+        if math.isfinite(info) and self.grid.horizon > info - self.epsilon_exclusion + 1e-15:
             raise EnlargementError("simulation horizon runs into the information horizon")
-        if self.grid.horizon < self.sim_horizon:
-            raise EnlargementError("grid does not cover the simulation horizon")
 
     def drift_weights(self) -> np.ndarray:
         """φ(t_i) Δt_i / σ²_{t_i} at every left node.
@@ -110,22 +104,6 @@ class DecomposedProcess:
 
     def additivity_gap(self) -> float:
         return _additivity_gap(self.original, self.fv_part, self.martingale_part)[0]
-
-    def fv_total_variation(self) -> np.ndarray:
-        """Σ |ΔA| per path; finite discrete variation, reported."""
-        return np.sum(np.abs(np.diff(self.fv_part, axis=1)), axis=1)
-
-    def to_csv(self, path, path_indices=None) -> None:
-        """Long-format export: path,t,original,martingale_part,fv_part."""
-        idx = range(self.n_paths) if path_indices is None else path_indices
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("path,t,original,martingale_part,fv_part\n")
-            for i in idx:
-                for j, t in enumerate(self.times):
-                    f.write(
-                        f"{i},{float(t)!r},{float(self.original[i, j])!r},"
-                        f"{float(self.martingale_part[i, j])!r},{float(self.fv_part[i, j])!r}\n"
-                    )
 
 
 def _additivity_gap(original, fv_part, martingale_part=None) -> tuple[float, float]:
@@ -231,7 +209,7 @@ def compensate_martingale(
     Refuses (rather than warns) whenever the integrability classifier
     does not certify that the compensated object exists.
     """
-    verdict = classify(m_integrand, spec.info_horizon)
+    verdict = classify(m_integrand, spec.phi.support_end)
     if verdict.verdict != SEMIMARTINGALE:
         raise RefusedNonSemimartingaleError(verdict)
     values = np.atleast_2d(np.asarray(ensemble.values, dtype=float))

@@ -34,6 +34,7 @@ from .integrands import (
 )
 from .mgtests import (
     DEFAULT_THRESHOLD,
+    PROBE_CAUCHY_TOL,
     BasisFunction,
     IncrementRegressionAccumulator,
     JeulinProbeAccumulator,
@@ -64,13 +65,13 @@ Consumer = Callable[[np.ndarray, np.ndarray], None]
 def bridge_grid(
     n_base: int,
     horizon: float = 1.0,
-    ratio: float = 0.5,
     depth: int | None = None,
     include: tuple[float, ...] = (),
 ) -> TimeGrid:
-    """Grid for enlargements whose drift blows up at the horizon."""
+    """Grid for enlargements whose drift blows up at the horizon: the
+    steps halve toward it."""
     return build_grid(
-        horizon, n_base, singular_point=horizon, refinement_ratio=ratio, depth=depth,
+        horizon, n_base, singular_point=horizon, refinement_ratio=0.5, depth=depth,
         include=include,
     )
 
@@ -418,13 +419,12 @@ def run_lookahead_demo(
     n_paths: int,
     seed: int,
     delta: float = 0.25,
-    n_workers: int | None = None,
 ) -> dict:
     """Elementary look-ahead integrands on dyadic grids: sup-norm collapse
     with integral mean pinned at 1."""
     n_max = max(levels)
     grid = build_grid(1.0, 2**n_max)
-    ens = simulate_brownian(grid, n_paths, SeedSpec(seed), n_workers)
+    ens = simulate_brownian(grid, n_paths, SeedSpec(seed))
     rep = non_integrator_demo(ens.values, grid.nodes, epsilon, levels, delta)
     return {
         "epsilon": epsilon,
@@ -459,9 +459,6 @@ def run_jeulin_probe(
     case: str,
     n_paths: int,
     seed: int,
-    depth: int = PROBE_DEPTH,
-    ceiling: float = PROBE_CEILING,
-    cauchy_tol: float = 1e-3,
     block: int = BLOCK,
 ) -> dict:
     """Per-path truncated integrals ∫ R_s A_s ds across a geometric
@@ -470,10 +467,10 @@ def run_jeulin_probe(
     if case not in probes:
         raise ValueError(f"unknown probe case {case!r}; pick from {sorted(probes)}")
     A = probes[case]
-    grid = bridge_grid(PROBE_BASE_STEPS, ratio=0.5, depth=depth)
+    grid = bridge_grid(PROBE_BASE_STEPS, depth=PROBE_DEPTH)
     times = grid.nodes
     rung_idx = np.arange(PROBE_BASE_STEPS - 1, grid.n_nodes)
-    acc = JeulinProbeAccumulator(A, times, rung_idx, ceiling, cauchy_tol)
+    acc = JeulinProbeAccumulator(A, times, rung_idx, PROBE_CEILING)
     seedspec = SeedSpec(seed)
     blocks = stream_blocks(partial(simulate_brownian, grid, seed=seedspec), _terminal_value, n_paths, block)
     _drive(blocks, [acc.update])
@@ -484,9 +481,9 @@ def run_jeulin_probe(
         "declared_divergent": A.diverges,
         "n_paths": rep.n_paths,
         "seed": seed,
-        "depth": depth,
-        "ceiling": ceiling,
-        "cauchy_tol": cauchy_tol,
+        "depth": PROBE_DEPTH,
+        "ceiling": PROBE_CEILING,
+        "cauchy_tol": PROBE_CAUCHY_TOL,
         "deterministic_integral_deepest": rep.deterministic_integral_deepest,
         "cauchy_fraction": rep.cauchy_fraction,
         "exceed_fraction": rep.exceed_fraction,

@@ -16,7 +16,6 @@ blockwise, exactly, by enumeration.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from dataclasses import dataclass
@@ -601,16 +600,3 @@ def random_adapted_martingale(
         prev, _ = conditional_expectation(stages[0], p, space)
         stages.insert(0, prev)
     return stages
-
-
-def report_to_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, default=_json_default)
-
-
-def _json_default(x):
-    if isinstance(x, Fraction):
-        return frac_str(x)
-    if isinstance(x, frozenset):
-        return sorted(x)
-    raise TypeError(f"cannot serialize {type(x)!r}")

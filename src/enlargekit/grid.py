@@ -27,6 +27,14 @@ class GridError(ValueError):
     """Invalid grid construction request."""
 
 
+def node_index(nodes: np.ndarray, t: float) -> int:
+    """Index of the node equal to ``t`` (within relative slack)."""
+    i = int(np.argmin(np.abs(nodes - t)))
+    if abs(nodes[i] - t) > NODE_MATCH_RTOL * max(1.0, abs(t)):
+        raise GridError(f"time {t} is not a grid node")
+    return i
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing times starting at 0.
@@ -73,16 +81,7 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Index of the node equal to ``t`` (within relative slack)."""
-        i = int(np.argmin(np.abs(self.nodes - t)))
-        tol = NODE_MATCH_RTOL * max(1.0, abs(t))
-        if abs(self.nodes[i] - t) > tol:
-            raise GridError(f"time {t} is not a grid node")
-        return i
-
-    def restricted_to(self, t_max: float) -> "TimeGrid":
-        """Sub-grid of nodes ≤ t_max (t_max must be a node)."""
-        k = self.index_of(t_max)
-        return TimeGrid(self.nodes[: k + 1].copy(), None, None)
+        return node_index(self.nodes, t)
 
 
 def build_grid(

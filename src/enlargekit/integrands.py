@@ -23,6 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from .grid import node_index
+
+# relative tolerance of the quadrature behind a tabulated integrand's σ²_t
+QUAD_RTOL = 1e-10
+
 
 class InformationHorizonError(ValueError):
     """Drift requested at or after the time the residual variance hits 0."""
@@ -37,7 +42,6 @@ class DeterministicIntegrand:
     family: str
     params: tuple[tuple[str, float], ...]
     support_end: float
-    quad_tol: float = 1e-10
     _table: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     # -- evaluation --------------------------------------------------------
@@ -82,7 +86,7 @@ class DeterministicIntegrand:
             if t >= xs[-1]:
                 return 0.0
             val, _ = quad(lambda s: float(self(s)) ** 2, t, xs[-1],
-                          epsrel=self.quad_tol, epsabs=0.0, limit=200)
+                          epsrel=QUAD_RTOL, epsabs=0.0, limit=200)
             return val
         raise ValueError(f"unknown family {self.family!r}")
 
@@ -142,18 +146,14 @@ def jeulin_yor(alpha: float, T: float = 1.0) -> DeterministicIntegrand:
     return DeterministicIntegrand("jy", (("alpha", float(alpha)), ("T", float(T))), float(T))
 
 
-def tabulated(times, values, quad_tol: float = 1e-10) -> DeterministicIntegrand:
+def tabulated(times, values) -> DeterministicIntegrand:
     xs = tuple(float(x) for x in times)
     ys = tuple(float(y) for y in values)
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("tabulated integrand needs matching times/values, length >= 2")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("tabulated times must be strictly increasing")
-    return DeterministicIntegrand("tabulated", (), xs[-1], quad_tol, (_freeze(xs), _freeze(ys)))
-
-
-def _freeze(t):
-    return tuple(t)
+    return DeterministicIntegrand("tabulated", (), xs[-1], (xs, ys))
 
 
 _FAMILIES = {
@@ -172,7 +172,10 @@ def parse_integrand(spec: str) -> DeterministicIntegrand:
     kv = {}
     for part in filter(None, rest.split(",")):
         k, _, v = part.partition("=")
-        kv[k.strip()] = float(v)
+        x = float(v)
+        if not math.isfinite(x):
+            raise ValueError(f"integrand parameter {part!r} is not a finite number")
+        kv[k.strip()] = x
     try:
         return _FAMILIES[head](kv)
     except KeyError as e:
@@ -211,25 +214,6 @@ def information_drift(phi: DeterministicIntegrand, x, t: float, m_t) -> float | 
     return (np.asarray(x, dtype=float) - m_t) * float(phi(t)) / var
 
 
-@dataclass(frozen=True)
-class ConditionalLaw:
-    """Gaussian conditional law of X given the path up to some time."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError("variance must be nonnegative")
-
-
-def conditional_density(law: ConditionalLaw, x: float) -> float:
-    if law.variance <= 0.0:
-        raise InformationHorizonError("conditional density degenerate: zero variance")
-    z = (x - law.mean) ** 2 / (2.0 * law.variance)
-    return math.exp(-z) / math.sqrt(2.0 * math.pi * law.variance)
-
-
 def log_density_identity_residual(
     phi: DeterministicIntegrand,
     times: np.ndarray,
@@ -245,9 +229,7 @@ def log_density_identity_residual(
     Shrinks like O(√Δt) in RMS over an ensemble as the grid refines.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    k = int(np.argmin(np.abs(times - t)))
-    if abs(times[k] - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"t={t} is not a grid node")
+    k = node_index(times, t)
     var0 = residual_variance(phi, 0.0)
     var_t = residual_variance(phi, float(times[k]))
     if var_t <= 0.0 or var0 <= 0.0:

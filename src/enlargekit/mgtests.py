@@ -16,15 +16,14 @@ independent of the time-s past.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .paths import PathEnsemble, SeedSpec, row_slices
+from .grid import node_index
+from .paths import SeedSpec, row_slices
 
 DEFAULT_THRESHOLD = 4.0
 
@@ -126,13 +125,6 @@ class MartingaleTestReport:
     def max_abs_z(self) -> float:
         return max(abs(r.z) for r in self.tests)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["s", "t", "basis", "estimate", "se", "z"])
-            for r in self.tests:
-                w.writerow([repr(r.s), repr(r.t), r.basis, repr(r.estimate), repr(r.se), repr(r.z)])
-
     def to_dict(self) -> dict:
         return {
             "n_paths": self.n_paths,
@@ -145,10 +137,6 @@ class MartingaleTestReport:
             },
             "tests": [vars(r) for r in self.tests],
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2)
 
 
 class IncrementRegressionAccumulator:
@@ -198,13 +186,7 @@ class IncrementRegressionAccumulator:
 
 
 def columns_at(values: np.ndarray, times: np.ndarray, wanted: Sequence[float]) -> dict[float, np.ndarray]:
-    out = {}
-    for u in wanted:
-        k = int(np.argmin(np.abs(times - u)))
-        if abs(times[k] - u) > 1e-9 * max(1.0, abs(u)):
-            raise ValueError(f"time {u} is not a grid node")
-        out[float(u)] = values[:, k]
-    return out
+    return {float(u): values[:, node_index(times, u)] for u in wanted}
 
 
 def increment_regression_test(
@@ -275,23 +257,6 @@ class QVAccumulator:
     def report(self, expected: float, rel_tol: float) -> QVReport:
         m = self._moments
         return QVReport(self.t, float(expected), float(m.mean[0]), float(m.se()[0]), float(rel_tol), m.n)
-
-
-def quadratic_variation_test(
-    values: np.ndarray,
-    times: np.ndarray,
-    t: float,
-    expected: float,
-    rel_tol: float,
-) -> QVReport:
-    """Per-path Σ(ΔM)² on [0, t]; the ensemble mean must sit within
-    rel_tol of the expected value.  ``t`` must be a grid node."""
-    k = int(np.argmin(np.abs(times - t)))
-    if abs(times[k] - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"time {t} is not a grid node")
-    acc = QVAccumulator(k, t)
-    acc.update(np.atleast_2d(values))
-    return acc.report(expected, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +432,16 @@ class ProbeReport:
     n_paths: int
 
 
+# a path counts as Cauchy when its last three rung increments are each
+# below this fraction of (1 + its deepest partial integral)
+PROBE_CAUCHY_TOL = 1e-3
+
+
 class JeulinProbeAccumulator:
-    """Streams per-path truncated integrals Σ R_i ∫A over a rung ladder."""
+    """Streams per-path truncated integrals Σ R_i ∫A over a rung ladder:
+    Cauchy stabilization when ∫A converges, ceiling exceedance when it
+    diverges.  R_s = |X − W_s|/√(t_pin − s) is standard half-normal and
+    independent of the path up to s by construction."""
 
     def __init__(
         self,
@@ -476,12 +449,10 @@ class JeulinProbeAccumulator:
         times: np.ndarray,
         rung_indices: Sequence[int],
         ceiling: float,
-        cauchy_tol: float = 1e-3,
     ):
         self.A = A
         self.rungs = np.asarray(rung_indices, dtype=int)
         self.ceiling = float(ceiling)
-        self.cauchy_tol = float(cauchy_tol)
         self.times = times
         self._weights = np.array(
             [A.integral(float(a), float(b)) for a, b in zip(times[:-1], times[1:])]
@@ -496,7 +467,7 @@ class JeulinProbeAccumulator:
         r = np.abs(x[:, None] - values[:, :-1]) / np.sqrt(pin - t[:-1])
         ladder = np.cumsum(r * self._weights, axis=1)[:, self.rungs - 1]
         tail = np.abs(np.diff(ladder[:, -4:], axis=1))
-        cauchy = np.all(tail < self.cauchy_tol * (1.0 + ladder[:, -1:]), axis=1)
+        cauchy = np.all(tail < PROBE_CAUCHY_TOL * (1.0 + ladder[:, -1:]), axis=1)
         self._n += values.shape[0]
         self._n_cauchy += int(np.sum(cauchy))
         self._n_exceed += int(np.sum(ladder[:, -1] > self.ceiling))
@@ -512,20 +483,3 @@ class JeulinProbeAccumulator:
             len(self.rungs),
             self._n,
         )
-
-
-def jeulin_lemma_probe(
-    A: ProbeIntegrand,
-    ensemble: PathEnsemble,
-    x: np.ndarray,
-    rung_indices: Sequence[int],
-    ceiling: float,
-    cauchy_tol: float = 1e-3,
-) -> ProbeReport:
-    """Two-sided behavior of per-path ∫ R_s A_s ds across a truncation
-    ladder: Cauchy stabilization when ∫A converges, ceiling exceedance
-    when it diverges.  R_s = |X − W_s|/√(t_pin − s) is standard
-    half-normal and independent of the path up to s by construction."""
-    acc = JeulinProbeAccumulator(A, ensemble.grid.nodes, rung_indices, ceiling, cauchy_tol)
-    acc.update(ensemble.values, np.asarray(x))
-    return acc.report()

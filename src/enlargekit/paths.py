@@ -2,22 +2,18 @@
 
 Every path owns an independent counter-based random substream keyed by
 (base_seed, path_index), so the simulated values are bit-identical no
-matter how paths are chunked across workers.
+matter how the paths are split into blocks.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .grid import TimeGrid
-
-# Paths are filled in fixed-size chunks; the chunk size is part of no
-# contract (values are per-path) but keeps memory bounded.
-_CHUNK = 16384
 
 # Row slices of a path matrix hold about this many bytes: small enough
 # that a slice's scratch is negligible next to a path block, large enough
@@ -83,15 +79,6 @@ class PathEnsemble:
     def at_time(self, t: float) -> np.ndarray:
         return self.values[:, self.grid.index_of(t)]
 
-    def to_csv(self, path, path_indices=None) -> None:
-        """Long-format export: header ``path,t,value``, full precision."""
-        idx = range(self.n_paths) if path_indices is None else path_indices
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("path,t,value\n")
-            for i in idx:
-                for t, v in zip(self.grid.nodes, self.values[i]):
-                    f.write(f"{i},{float(t)!r},{float(v)!r}\n")
-
 
 class _Rekeyed:
     """Fast per-path generator reuse.
@@ -119,21 +106,11 @@ class _Rekeyed:
         return self.gen
 
 
-def _fill_chunks(n_paths: int, fill: Callable[[int, int], None], n_workers: int | None) -> None:
-    spans = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
-    if n_workers is None or n_workers <= 1 or len(spans) == 1:
-        for lo, hi in spans:
-            fill(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        list(pool.map(lambda span: fill(*span), spans))
-
-
 def simulate_brownian(
     grid: TimeGrid,
     n_paths: int,
     seed: SeedSpec,
-    n_workers: int | None = None,
+    *,
     first_path_index: int = 0,
     out: np.ndarray | None = None,
 ) -> PathEnsemble:
@@ -151,14 +128,10 @@ def simulate_brownian(
     n_incr = sqrt_steps.size
     values = _value_matrix(n_paths, grid.n_nodes, out)
     values[:, 0] = 0.0
-
-    def fill(lo: int, hi: int) -> None:
-        rk = _Rekeyed(seed.base_seed)
-        for i in range(lo, hi):
-            z = rk.rekey(first_path_index + i).standard_normal(n_incr)
-            np.cumsum(z * sqrt_steps, out=values[i, 1:])
-
-    _fill_chunks(n_paths, fill, n_workers)
+    rk = _Rekeyed(seed.base_seed)
+    for i in range(n_paths):
+        z = rk.rekey(first_path_index + i).standard_normal(n_incr)
+        np.cumsum(z * sqrt_steps, out=values[i, 1:])
     return PathEnsemble(grid, values, "brownian", seed)
 
 
@@ -193,16 +166,23 @@ def normal_jumps(mu: float = 0.0, sigma: float = 1.0) -> JumpSampler:
     )
 
 
+def _finite(text) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"jump parameter {text!r} is not a finite number")
+    return x
+
+
 def parse_jump_sampler(spec: str) -> JumpSampler:
     """Parse ``pm1``, ``const:1.0`` or ``normal:mu=0,sigma=1``."""
     head, _, rest = spec.partition(":")
     if head == "pm1":
         return rademacher_jumps()
     if head == "const":
-        return constant_jumps(float(rest))
+        return constant_jumps(_finite(rest))
     if head == "normal":
         kv = dict(p.split("=") for p in rest.split(",") if p)
-        return normal_jumps(float(kv.get("mu", 0.0)), float(kv.get("sigma", 1.0)))
+        return normal_jumps(_finite(kv.get("mu", 0.0)), _finite(kv.get("sigma", 1.0)))
     raise ValueError(f"unknown jump sampler {spec!r}")
 
 
@@ -212,7 +192,7 @@ def simulate_compound_poisson(
     jump_sampler: JumpSampler,
     n_paths: int,
     seed: SeedSpec,
-    n_workers: int | None = None,
+    *,
     first_path_index: int = 0,
     out: np.ndarray | None = None,
 ) -> PathEnsemble:
@@ -229,19 +209,15 @@ def simulate_compound_poisson(
     horizon = grid.horizon
     nodes = grid.nodes
     values = _value_matrix(n_paths, grid.n_nodes, out)
-
-    def fill(lo: int, hi: int) -> None:
-        rk = _Rekeyed(seed.base_seed)
-        for i in range(lo, hi):
-            rng = rk.rekey(first_path_index + i)
-            k = rng.poisson(rate * horizon)
-            if k == 0:
-                values[i] = 0.0
-                continue
-            times = np.sort(rng.uniform(0.0, horizon, k))
-            sizes = jump_sampler.draw(rng, k)
-            cum = np.concatenate([[0.0], np.cumsum(sizes)])
-            values[i] = cum[np.searchsorted(times, nodes, side="right")]
-
-    _fill_chunks(n_paths, fill, n_workers)
+    rk = _Rekeyed(seed.base_seed)
+    for i in range(n_paths):
+        rng = rk.rekey(first_path_index + i)
+        k = rng.poisson(rate * horizon)
+        if k == 0:
+            values[i] = 0.0
+            continue
+        times = np.sort(rng.uniform(0.0, horizon, k))
+        sizes = jump_sampler.draw(rng, k)
+        cum = np.concatenate([[0.0], np.cumsum(sizes)])
+        values[i] = cum[np.searchsorted(times, nodes, side="right")]
     return PathEnsemble(grid, values, f"compound_poisson(rate={rate},jumps={jump_sampler.name})", seed)

@@ -3,6 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from enlargekit import experiments
+from enlargekit.classifier import classify
+from enlargekit.enlargement import RefusedNonSemimartingaleError
+from enlargekit.integrands import jeulin_yor
 from enlargekit.cli import (
     EXIT_CONFIG,
     EXIT_PASS,
@@ -59,6 +63,10 @@ def _exit_code(argv):
     ["mg-test", "--process", "drifted", "--drift", "inf", "--paths", "100", "--steps", "16"],
     ["levy-demo", "--rate", "nan", "--paths", "100", "--steps", "16"],
     ["lookahead-demo", "--delta", "nan", "--paths", "100"],
+    ["classify", "--m", "const:c=nan,T=1"],
+    ["levy-demo", "--jumps", "normal:mu=nan", "--paths", "100", "--steps", "16"],
+    ["levy-demo", "--jumps", "const:inf", "--paths", "100", "--steps", "16"],
+    ["drift-sim", "--phi", "linear:T=nan", "--paths", "100", "--steps", "16"],
 ])
 def test_bad_input_is_a_config_error_before_any_work(argv, capsys):
     assert _exit_code(argv) == EXIT_CONFIG
@@ -68,7 +76,26 @@ def test_bad_input_is_a_config_error_before_any_work(argv, capsys):
 def test_threads_is_refused_where_nothing_reads_it():
     argv = ["--paths", "100", "--steps", "16", "--threads", "2"]
     assert _exit_code(["bridge-demo"] + argv) == EXIT_CONFIG
-    assert _exit_code(["mg-test"] + argv) == EXIT_PASS
+    assert _exit_code(["mg-test"] + argv) == EXIT_CONFIG
+    assert _exit_code(["lookahead-demo", "--paths", "100", "--threads", "2"]) == EXIT_CONFIG
+
+
+def test_only_the_named_refusal_exits_as_a_refusal(monkeypatch):
+    # an unexpected RuntimeError (RecursionError, NotImplementedError, ...)
+    # is a crash, not a classifier refusal
+    argv = ["jeulin-probe", "--paths", "100", "--case", "finite"]
+
+    def raises(exc):
+        def run(*args, **kwargs):
+            raise exc
+        return run
+
+    monkeypatch.setattr(experiments, "run_jeulin_probe", raises(RuntimeError("unexpected")))
+    with pytest.raises(RuntimeError):
+        main(argv)
+    refusal = RefusedNonSemimartingaleError(classify(jeulin_yor(0.75), 1.0))
+    monkeypatch.setattr(experiments, "run_jeulin_probe", raises(refusal))
+    assert main(argv) == EXIT_REFUSAL
 
 
 def test_finite_demo_instance_file(tmp_path, capsys):
@@ -121,7 +148,13 @@ def test_bridge_demo_small_run_writes_reports(tmp_path):
     report = json.loads(a)
     assert report["battery"]["verdict"] == "pass"
     assert report["negative_control"]["verdict"] == "fail"
-    assert (out1 / "bridge_demo_battery.csv").exists()
+    lines = (out1 / "bridge_demo_battery.csv").read_text().splitlines()
+    assert lines[0] == "s,t,basis,estimate,se,z"
+    assert len(lines) == 1 + len(report["battery"]["tests"])
+    s, t, basis, estimate, se, z = lines[-1].split(",")
+    row = {"s": float(s), "t": float(t), "basis": basis,
+           "estimate": float(estimate), "se": float(se), "z": float(z)}
+    assert row == report["battery"]["tests"][-1]  # full precision: exact float equality
     # resolved config is embedded
     assert report["seed"] == 42 and report["n_base_steps"] == 256
 

@@ -75,7 +75,6 @@ def test_decomposition_exact_additivity(bridge_setup):
     spec, ens, x = bridge_setup
     dec = compensate_brownian(spec, ens, x)
     assert dec.additivity_gap() <= 64 * np.finfo(float).eps * np.max(np.abs(dec.original))
-    assert np.all(np.isfinite(dec.fv_total_variation()))
 
 
 def test_decomposition_rejects_mismatched_parts():
@@ -178,18 +177,6 @@ def test_abs_drift_ladder_matches_bridge_constant():
     eps = 1.0 - grid.nodes[rungs[-1]]
     bound = ABS_DRIFT_CONSTANT * math.sqrt(eps)
     assert abs(mean - ABS_DRIFT_CONSTANT) <= 4.0 * se + bound
-
-
-def test_decomposition_csv_export(tmp_path, bridge_setup):
-    spec, ens, x = bridge_setup
-    dec = compensate_brownian(spec, ens, x)
-    out = tmp_path / "dec.csv"
-    dec.to_csv(out, path_indices=[0, 1])
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "path,t,original,martingale_part,fv_part"
-    assert len(lines) == 1 + 2 * dec.times.size
-    row = lines[1].split(",")
-    assert float(row[2]) == pytest.approx(float(row[3]) + float(row[4]), abs=1e-12)
 
 
 def test_spec_horizon_consistency():

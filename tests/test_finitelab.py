@@ -281,13 +281,3 @@ def test_random_instances_universal_properties():
         assert fl.is_exact_martingale(mart, filt, space)
         g = fl.discrete_girsanov(mart, setup)
         assert g.is_enlarged_martingale
-
-
-def test_json_report_rendering(tmp_path, four_uniform):
-    space = four_uniform
-    filt = fl.FiniteFiltration((fl.Partition((frozenset({"1", "2"}), frozenset({"3", "4"})),),))
-    rep = fl.jacod_discrete_checks(space, filt, {"1": "a", "2": "a", "3": "b", "4": "b"})
-    out = tmp_path / "rep.json"
-    fl.report_to_json(rep.to_json_dict(), out)
-    text = out.read_text()
-    assert "1/2" in text  # exact rationals rendered num/den

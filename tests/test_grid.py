@@ -67,9 +67,3 @@ def test_index_of_rejects_off_grid_times():
     assert g.index_of(0.75) == 3
     with pytest.raises(GridError):
         g.index_of(0.3)
-
-
-def test_restricted_to_prefix():
-    g = build_grid(1.0, 4)
-    sub = g.restricted_to(0.5)
-    assert np.allclose(sub.nodes, [0.0, 0.25, 0.5])

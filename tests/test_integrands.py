@@ -5,9 +5,7 @@ import pytest
 
 from enlargekit.grid import build_grid
 from enlargekit.integrands import (
-    ConditionalLaw,
     InformationHorizonError,
-    conditional_density,
     constant,
     indicator,
     information_drift,
@@ -131,17 +129,6 @@ def test_information_drift_linear_in_x_and_centered():
 def test_information_drift_undefined_at_horizon():
     with pytest.raises(InformationHorizonError):
         information_drift(indicator(1.0), 0.5, 1.0, 0.0)
-
-
-def test_conditional_density_basics():
-    assert conditional_density(ConditionalLaw(0.0, 1.0), 0.0) == pytest.approx(
-        1.0 / math.sqrt(2.0 * math.pi)
-    )
-    law = ConditionalLaw(1.5, 0.25)
-    assert conditional_density(law, 1.5) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi * 0.25))
-    assert conditional_density(law, 1.5 + 0.3) == pytest.approx(conditional_density(law, 1.5 - 0.3))
-    with pytest.raises(InformationHorizonError):
-        conditional_density(ConditionalLaw(0.0, 0.0), 0.0)
 
 
 def test_log_density_residual_flat_path_closed_form():

@@ -6,16 +6,17 @@ import pytest
 from enlargekit.grid import build_grid
 from enlargekit.mgtests import (
     BasisFunction,
+    JeulinProbeAccumulator,
     LookaheadPredictabilityError,
     Moments,
+    ProbeIntegrand,
+    QVAccumulator,
     increment_regression_test,
     info_minus_state_basis,
-    jeulin_lemma_probe,
     levy_characterization_suite,
     non_integrator_demo,
     probe_log_divergent,
     probe_power_quarter,
-    quadratic_variation_test,
 )
 from enlargekit.paths import SeedSpec, simulate_brownian
 
@@ -116,30 +117,17 @@ def test_power_uncompensated_bridge_detected_every_seed():
         assert rec.estimate == pytest.approx(0.25, abs=10 * rec.se)
 
 
-def test_report_serialization(tmp_path):
-    grid = build_grid(1.0, 16)
-    ens = simulate_brownian(grid, 1000, SeedSpec(7))
-    rep = increment_regression_test(
-        ens.values, grid.nodes, np.zeros(1000), [(0.25, 0.5)], own_filtration_basis(),
-        seeds=ens.seed_record,
-    )
-    rep.to_csv(tmp_path / "battery.csv")
-    rep.to_json(tmp_path / "battery.json")
-    lines = (tmp_path / "battery.csv").read_text().strip().splitlines()
-    assert lines[0] == "s,t,basis,estimate,se,z"
-    assert len(lines) == 3
-    assert "bonferroni" in (tmp_path / "battery.json").read_text()
+def _qv(values, grid, t, expected):
+    acc = QVAccumulator(grid.index_of(t), t)
+    acc.update(values)
+    return acc.report(expected, rel_tol=0.02)
 
 
 def test_quadratic_variation_of_brownian():
     grid = build_grid(1.0, 1024)
     ens = simulate_brownian(grid, 10_000, SeedSpec(99))
-    rep = quadratic_variation_test(ens.values, grid.nodes, 1.0, expected=1.0, rel_tol=0.02)
-    assert rep.passed
-    zero = quadratic_variation_test(np.zeros((10, grid.n_nodes)), grid.nodes, 1.0, 0.0, 0.02)
-    assert zero.mean == 0.0
-    with pytest.raises(ValueError):
-        quadratic_variation_test(ens.values, grid.nodes, 0.3001, 0.3, 0.02)
+    assert _qv(ens.values, grid, 1.0, expected=1.0).passed
+    assert _qv(np.zeros((10, grid.n_nodes)), grid, 1.0, expected=0.0).mean == 0.0
 
 
 def test_characterization_suite_accepts_brownian_rejects_drift():
@@ -170,15 +158,17 @@ def test_lookahead_demo_levels_and_precondition():
         non_integrator_demo(ens.values, grid.nodes, 2.0**-6, [5])
 
 
-def test_probe_zero_integrand_gives_zero_ladder():
-    from enlargekit.mgtests import ProbeIntegrand
+def _probe(A, values, grid, rungs, ceiling):
+    acc = JeulinProbeAccumulator(A, grid.nodes, rungs, ceiling)
+    acc.update(values, values[:, -1])
+    return acc.report()
 
+
+def test_probe_zero_integrand_gives_zero_ladder():
     grid = build_grid(1.0, 32, singular_point=1.0, refinement_ratio=0.5, depth=8)
     ens = simulate_brownian(grid, 200, SeedSpec(4))
     zero = ProbeIntegrand("zero", lambda a, b: 0.0)
-    rep = jeulin_lemma_probe(
-        zero, ens, ens.values[:, -1], list(range(32, grid.n_nodes)), ceiling=1.0
-    )
+    rep = _probe(zero, ens.values, grid, list(range(32, grid.n_nodes)), ceiling=1.0)
     assert rep.cauchy_fraction == 1.0
     assert rep.exceed_fraction == 0.0
 
@@ -188,8 +178,8 @@ def test_probe_two_sided_smoke():
     grid = build_grid(1.0, 512, singular_point=1.0, refinement_ratio=0.5, depth=40)
     ens = simulate_brownian(grid, 2000, SeedSpec(14))
     rungs = list(range(511, grid.n_nodes))
-    fin = jeulin_lemma_probe(probe_power_quarter(1.0), ens, ens.values[:, -1], rungs, ceiling=2.5)
-    div = jeulin_lemma_probe(probe_log_divergent(0.75, 1.0), ens, ens.values[:, -1], rungs, ceiling=2.5)
+    fin = _probe(probe_power_quarter(1.0), ens.values, grid, rungs, ceiling=2.5)
+    div = _probe(probe_log_divergent(0.75, 1.0), ens.values, grid, rungs, ceiling=2.5)
     assert fin.cauchy_fraction >= 0.99
     assert div.exceed_fraction >= 0.99
     assert div.deterministic_integral_deepest > 4 * fin.deterministic_integral_deepest

@@ -30,10 +30,10 @@ def test_bit_identical_across_worker_counts_and_offsets():
     grid = build_grid(1.0, 64)
     seed = SeedSpec(99)
     a = simulate_brownian(grid, 200, seed)
-    b = simulate_brownian(grid, 200, seed, n_workers=4)
-    assert np.array_equal(a.values, b.values)
     tail = simulate_brownian(grid, 60, seed, first_path_index=140)
     assert np.array_equal(a.values[140:], tail.values)
+    with pytest.raises(TypeError):  # the offset is keyword-only: no positional call can shift it
+        simulate_brownian(grid, 60, seed, 140)
 
 
 def test_brownian_starts_at_zero_and_terminal_variance():
@@ -105,17 +105,3 @@ def test_jump_sampler_parsing():
     assert s.mean == 1.0 and s.second_moment == 5.0
     with pytest.raises(ValueError):
         parse_jump_sampler("zeta:s=2")
-
-
-def test_ensemble_csv_export(tmp_path):
-    grid = build_grid(1.0, 4)
-    ens = simulate_brownian(grid, 3, SeedSpec(42))
-    out = tmp_path / "paths.csv"
-    ens.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "path,t,value"
-    assert len(lines) == 1 + 3 * grid.n_nodes
-    # full-precision roundtrip
-    _, t, v = lines[1].split(",")
-    assert float(t) == grid.nodes[0]
-    assert float(v) == ens.values[0, 0]
