@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import random
@@ -65,6 +66,22 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
     return x
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return n
+
+
+def _positive_ints(text: str) -> list[int]:
+    """argparse type: a comma-separated list of positive integers."""
+    return [_positive_int(chunk) for chunk in text.split(",")]
 
 
 def _parse_epsilon(text: str) -> float:
@@ -277,9 +294,8 @@ def cmd_finite_demo(args) -> int:
 
 
 def cmd_lookahead_demo(args) -> int:
-    levels = [int(x) for x in args.levels.split(",")]
     report = experiments.run_lookahead_demo(
-        _parse_epsilon(args.epsilon), levels, args.paths, args.seed, args.delta,
+        _parse_epsilon(args.epsilon), args.levels, args.paths, args.seed, args.delta,
     )
     report["command"] = "lookahead-demo"
     _write_report(args.out, "lookahead_demo", report, not args.no_timestamp)
@@ -319,16 +335,18 @@ def cmd_jeulin_probe(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, paths: int, steps: int | None = None) -> None:
     p.add_argument("--seed", type=int, default=20240901, help="base seed (explicit only)")
-    p.add_argument("--paths", type=int, default=paths)
+    p.add_argument("--paths", type=_positive_int, default=paths)
     if steps is not None:
-        p.add_argument("--steps", type=int, default=steps, help="uniform base steps")
+        p.add_argument("--steps", type=_positive_int, default=steps, help="uniform base steps")
     p.add_argument("--threshold", type=_finite_float, default=4.0, help="|z| limit per test")
     p.add_argument("--out", default=None, help="directory for JSON/CSV reports")
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit the timestamp field for byte-identical reports")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing keeps no state in it."""
     p = _Parser(prog="enlargekit", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
@@ -369,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("finite-demo", help="exact finite-space verification")
     q.add_argument("--instance", default=None, help="instance file (structured text)")
-    q.add_argument("--random", type=int, default=25, help="number of random instances")
+    q.add_argument("--random", type=_positive_int, default=25, help="number of random instances")
     q.add_argument("--seed", type=int, default=20240901)
     q.add_argument("--out", default=None)
     q.add_argument("--no-timestamp", action="store_true")
@@ -378,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("lookahead-demo", help="look-ahead filtration non-integrator demonstration")
     _add_common(q, paths=10_000)
     q.add_argument("--epsilon", default="2^-6", help="look-ahead margin (accepts 2^-k)")
-    q.add_argument("--levels", default="8,10,12")
+    q.add_argument("--levels", type=_positive_ints, default="8,10,12")
     q.add_argument("--delta", type=_finite_float, default=0.25)
     q.set_defaults(fn=cmd_lookahead_demo)
 

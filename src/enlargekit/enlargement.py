@@ -22,7 +22,7 @@ from .grid import TimeGrid
 from .integrands import DeterministicIntegrand, residual_variance, running_mean
 from .classifier import SEMIMARTINGALE, classify
 from .mgtests import Moments
-from .paths import PathEnsemble, row_slices
+from .paths import PathEnsemble, row_slices, split_rows
 
 # Stieltjes sums beyond this are reported as non-integrable rather than
 # silently overflowing.
@@ -84,6 +84,20 @@ class EnlargementSpec:
         out[live] = w[live] * self.grid.steps[live] / sig2[live]
         return out
 
+    def compensated_qv(self, k: int) -> float:
+        """E Σ_{i<k} (ΔW_i − ΔA_i)², the expected quadratic variation of
+        W − A up to node k on this grid.
+
+        With ΔA_i = w_i (X − m_i) and X − m_i = Σ_{j≥i} φ(t_j) ΔW_j for the
+        X that :func:`realize_X` builds, each term is
+        Δt_i − 2 w_i φ(t_i) Δt_i + w_i² Σ_{j≥i} φ(t_j)² Δt_j.
+        """
+        dt = self.grid.steps
+        phi = np.asarray(self.phi(self.grid.nodes[:-1]), dtype=float)
+        w = self.drift_weights()
+        tail = np.cumsum((phi * phi * dt)[::-1])[::-1]
+        return float(np.sum((dt - 2.0 * w * phi * dt + w * w * tail)[:k]))
+
 
 @dataclass(frozen=True)
 class DecomposedProcess:
@@ -126,8 +140,20 @@ def _additivity_gap(original, fv_part, martingale_part=None) -> tuple[float, flo
 
 
 def _check_additivity(original, fv_part, martingale_part=None) -> None:
-    gap, scale = _additivity_gap(original, fv_part, martingale_part)
-    if not math.isfinite(gap) or gap > 1e-9 * scale:
+    _check_gaps([_additivity_gap(original, fv_part, martingale_part)])
+
+
+def _check_gaps(parts: list[tuple[float, float]]) -> None:
+    """Rejects the (gap, scale) pairs of the row ranges of one matrix.
+
+    Finiteness is checked range by range: Python's ``max`` keeps or drops
+    a NaN depending on where it sits.
+    """
+    for gap, _ in parts:
+        if not math.isfinite(gap):
+            raise EnlargementError(f"decomposition does not add up (gap {gap:g})")
+    gap = max(g for g, _ in parts)
+    if gap > 1e-9 * max(s for _, s in parts):
         raise EnlargementError(f"decomposition does not add up (gap {gap:g})")
 
 
@@ -137,7 +163,8 @@ def realize_X(spec: EnlargementSpec, values: np.ndarray, times: np.ndarray | Non
     Σ_{i<n} φ(t_i)(W_{i+1} − W_i) is summed by parts into one weighted sum
     of the path values, Σ_k c_k W_k with c_k = φ(t_{k−1}) − φ(t_k) (φ read
     as 0 before the first and at the last node); for the indicator this
-    is exactly the terminal value.
+    is exactly the terminal value.  It runs on one thread: the sum is one
+    BLAS matvec, which OpenBLAS already threads.
     """
     times = spec.grid.nodes if times is None else times
     if not math.isfinite(spec.phi.support_end):
@@ -178,11 +205,19 @@ def drift_compensator(
     a block loop reuse one result buffer.  W = (W − A) + A is checked on
     every node before A is returned, so a non-finite compensator is
     rejected even where no :class:`DecomposedProcess` is built from it.
+    Both steps run per row range across cores (:func:`split_rows`).
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    a = _fv_part(spec.phi, spec.grid.nodes, spec.drift_weights(), values, x, out)
-    _check_additivity(values, a)
+    x = np.broadcast_to(np.asarray(x, dtype=float), values.shape[:1])
+    a = np.empty_like(values) if out is None else out
+    weights = spec.drift_weights()
+
+    def fill(lo: int, hi: int) -> tuple[float, float]:
+        rows = slice(lo, hi)
+        _fv_part(spec.phi, spec.grid.nodes, weights, values[rows], x[rows], a[rows])
+        return _additivity_gap(values[rows], a[rows])
+
+    _check_gaps(split_rows(fill, values.shape[0]))
     return a
 
 
@@ -343,6 +378,9 @@ def abs_drift_integral_paths(
     The 1/(T−s) kernel is integrated exactly per interval; |x − W| enters
     through the endpoint average, keeping the estimator's discretization
     bias far below its Monte Carlo error near the singular end.
+
+    Runs on one thread: its head is a BLAS matvec per row slice, which
+    OpenBLAS already threads, and a smaller slice would change its sums.
     """
     values = np.atleast_2d(values)
     x = np.atleast_1d(x)

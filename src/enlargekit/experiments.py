@@ -270,7 +270,7 @@ def run_enlargement_demo(
     if negative is not None:
         report["negative_control"] = negative.report(threshold, seedspec).to_dict()
     if qv is not None:
-        qr = qv.report(expected=qv_time, rel_tol=0.02)
+        qr = qv.report(expected=spec.compensated_qv(qv.k), rel_tol=0.02)
         report["quadratic_variation"] = {
             "t": qr.t, "expected": qr.expected, "mean": qr.mean,
             "se": qr.se, "rel_error": qr.rel_error, "passed": qr.passed,

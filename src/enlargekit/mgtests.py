@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .grid import node_index
-from .paths import SeedSpec, row_slices
+from .paths import SeedSpec, row_slices, split_rows
 
 DEFAULT_THRESHOLD = 4.0
 
@@ -244,14 +244,20 @@ class QVAccumulator:
     def update(self, values: np.ndarray, fv: np.ndarray | None = None) -> None:
         """Adds per-path Σ(ΔM)² on [0, t] for M = values − fv, summed from
         the increments ΔW − ΔA one row slice at a time, so M itself is
-        never formed."""
+        never formed.  The rows are split across cores (:func:`split_rows`)
+        and the block is folded into the moments once."""
         k = self.k
         qv = np.empty(values.shape[0])
-        for rows in row_slices(values.shape[0], k):
-            d = np.diff(values[rows, : k + 1], axis=1)
-            if fv is not None:
-                d -= np.diff(fv[rows, : k + 1], axis=1)
-            qv[rows] = np.einsum("ij,ij->i", d, d)
+
+        def fill(lo: int, hi: int) -> None:
+            for rows in row_slices(hi - lo, k):
+                rows = slice(lo + rows.start, lo + rows.stop)
+                d = np.diff(values[rows, : k + 1], axis=1)
+                if fv is not None:
+                    d -= np.diff(fv[rows, : k + 1], axis=1)
+                qv[rows] = np.einsum("ij,ij->i", d, d)
+
+        split_rows(fill, values.shape[0])
         self._moments.update(qv)
 
     def report(self, expected: float, rel_tol: float) -> QVReport:

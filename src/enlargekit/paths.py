@@ -2,29 +2,110 @@
 
 Every path owns an independent counter-based random substream keyed by
 (base_seed, path_index), so the simulated values are bit-identical no
-matter how the paths are split into blocks.
+matter how the paths are split into blocks or the rows of a block
+across cores.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
 from .grid import TimeGrid
+
+_T = TypeVar("_T")
 
 # Row slices of a path matrix hold about this many bytes: small enough
 # that a slice's scratch is negligible next to a path block, large enough
 # that numpy's per-call overhead is too.
 SLICE_BYTES = 1 << 21
 
+# split_rows runs inline when a range would hold fewer rows than this,
+# so small blocks pay no thread hand-off.
+MIN_SPLIT_ROWS = 1024
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+_range = threading.local()  # .parts: ranges running at once, set while one runs
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _executor(workers: int) -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="enlargekit-rows")
+        return _pool
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool threads do not exist there,
+    and work submitted to its pool would never run."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_range(fn: Callable[[int, int], _T], lo: int, hi: int, parts: int) -> _T:
+    _range.parts = parts
+    try:
+        return fn(lo, hi)
+    finally:
+        _range.parts = 1
+
+
+def split_rows(fn: Callable[[int, int], _T], n_rows: int) -> list[_T]:
+    """``fn(lo, hi)`` on one contiguous row range per usable core, the
+    results in row order.
+
+    The calling thread runs the first range and a module-level thread
+    pool the others; every range is finished before a worker's exception
+    is re-raised here.  With fewer than ``MIN_SPLIT_ROWS`` rows per range,
+    or when called from inside a range (so that a nested call never waits
+    on the pool it runs in), it is ``[fn(0, n_rows)]``.
+
+    ``fn`` must write only to its own rows and call no function that
+    the benchmark's span tracer wraps: the tracer keeps one span stack for
+    all threads.  Rows of a path block are pure functions of (seed, path),
+    so no split changes an output bit.
+    """
+    cores = _usable_cores()
+    parts = min(cores, n_rows // MIN_SPLIT_ROWS)
+    if parts < 2 or getattr(_range, "parts", 1) > 1:
+        return [fn(0, n_rows)]
+    bounds = [n_rows * p // parts for p in range(parts + 1)]
+    pool = _executor(cores - 1)
+    rest = [pool.submit(_run_range, fn, lo, hi, parts) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        first = _run_range(fn, 0, bounds[1], parts)
+    finally:
+        wait(rest)
+    return [first] + [f.result() for f in rest]
+
 
 def row_slices(n_rows: int, n_cols: int) -> Iterator[slice]:
     """Consecutive row slices covering a (n_rows, n_cols) float matrix,
-    each about ``SLICE_BYTES`` large."""
-    step = max(1, SLICE_BYTES // (8 * max(n_cols, 1)))
+    each about ``SLICE_BYTES`` large.
+
+    Inside a :func:`split_rows` range the budget is shared by the ranges
+    running at once, so all of them together hold one slice of scratch.
+    """
+    budget = SLICE_BYTES // getattr(_range, "parts", 1)
+    step = max(1, budget // (8 * max(n_cols, 1)))
     for lo in range(0, n_rows, step):
         yield slice(lo, min(lo + step, n_rows))
 
@@ -120,18 +201,27 @@ def simulate_brownian(
     ``first_path_index`` shifts the substream indices so a large ensemble
     can be produced block by block, bit-identical to one-shot simulation;
     ``out`` lets a block loop refill one value matrix instead of
-    allocating a new one per block.
+    allocating a new one per block.  The rows are split across cores by
+    :func:`split_rows`, each range with its own generator.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
     sqrt_steps = np.sqrt(grid.steps)
-    n_incr = sqrt_steps.size
     values = _value_matrix(n_paths, grid.n_nodes, out)
-    values[:, 0] = 0.0
-    rk = _Rekeyed(seed.base_seed)
-    for i in range(n_paths):
-        z = rk.rekey(first_path_index + i).standard_normal(n_incr)
-        np.cumsum(z * sqrt_steps, out=values[i, 1:])
+
+    def fill(lo: int, hi: int) -> None:
+        # each row is drawn in place, then scaled and summed per row slice
+        rk = _Rekeyed(seed.base_seed)
+        part = values[lo:hi]
+        part[:, 0] = 0.0
+        for rows in row_slices(*part.shape):
+            incr = part[rows, 1:]
+            for i, row in enumerate(incr, start=first_path_index + lo + rows.start):
+                rk.rekey(i).standard_normal(out=row)
+            incr *= sqrt_steps
+            np.cumsum(incr, axis=1, out=incr)
+
+    split_rows(fill, n_paths)
     return PathEnsemble(grid, values, "brownian", seed)
 
 
@@ -201,6 +291,10 @@ def simulate_compound_poisson(
     Jumps are placed exactly (uniform arrival times given the count) and
     the piecewise-constant path is read off at the nodes.  ``first_path_index``
     and ``out`` serve block loops as in :func:`simulate_brownian`.
+
+    The loop stays on one thread: its short per-path numpy calls hold the
+    GIL for most of their time, and split over two threads a 16 384-path
+    block took 517–703 ms against 480–519 ms serial (2-core VM).
     """
     if rate < 0:
         raise ValueError("jump rate must be nonnegative")

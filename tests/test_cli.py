@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from enlargekit import experiments
+from enlargekit import cli, experiments
 from enlargekit.classifier import classify
 from enlargekit.enlargement import RefusedNonSemimartingaleError
 from enlargekit.integrands import jeulin_yor
@@ -54,6 +54,18 @@ def _exit_code(argv):
         return e.code
 
 
+NOT_POSITIVE = [
+    ["bridge-demo", "--paths", "-5", "--steps", "16"],
+    ["bridge-demo", "--paths", "100", "--steps", "0"],
+    ["drift-sim", "--paths", "1.5", "--steps", "16"],
+    ["mg-test", "--paths", "0", "--steps", "16"],
+    ["jeulin-probe", "--paths", "-1"],
+    ["finite-demo", "--random", "0"],
+    ["lookahead-demo", "--paths", "100", "--levels", "8,-10"],
+    ["lookahead-demo", "--paths", "100", "--levels", "8,x"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--alpha", "nan"],
     ["classify", "--T", "nan"],
@@ -67,10 +79,37 @@ def _exit_code(argv):
     ["levy-demo", "--jumps", "normal:mu=nan", "--paths", "100", "--steps", "16"],
     ["levy-demo", "--jumps", "const:inf", "--paths", "100", "--steps", "16"],
     ["drift-sim", "--phi", "linear:T=nan", "--paths", "100", "--steps", "16"],
+    *NOT_POSITIVE,
 ])
 def test_bad_input_is_a_config_error_before_any_work(argv, capsys):
     assert _exit_code(argv) == EXIT_CONFIG
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", NOT_POSITIVE)
+def test_counts_are_checked_at_parse_time(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "is not a positive integer" in err
+
+
+def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
+    argvs = [
+        ["bridge-demo", "--paths", "-5"],
+        ["finite-demo", "--random", "2", "--seed", "3"],
+        ["classify", "--bogus-flag"],
+        ["classify", "--m", "const:c=1,T=1"],
+        ["lookahead-demo", "--levels", "0"],
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    cached = [_exit_code(argv) for argv in argvs]
+    after = vars(cli.build_parser().parse_args(["finite-demo"]))
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # a fresh parser per call
+    fresh = [_exit_code(argv) for argv in argvs]
+    assert cached == fresh == [EXIT_CONFIG, EXIT_PASS, EXIT_CONFIG, EXIT_PASS, EXIT_CONFIG]
+    assert after == vars(cli.build_parser().parse_args(["finite-demo"]))
 
 
 def test_threads_is_refused_where_nothing_reads_it():
@@ -157,6 +196,15 @@ def test_bridge_demo_small_run_writes_reports(tmp_path):
     assert row == report["battery"]["tests"][-1]  # full precision: exact float equality
     # resolved config is embedded
     assert report["seed"] == 42 and report["n_base_steps"] == 256
+
+
+def test_bridge_demo_checks_qv_against_its_grid_expectation(tmp_path):
+    # at 128 base steps E[QV of W - A at 0.9] is 0.8824 on the grid, 2% below 0.9
+    argv = ["bridge-demo", "--paths", "6000", "--steps", "128", "--seed", "42",
+            "--no-timestamp", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_PASS
+    qv = json.loads((tmp_path / "bridge_demo.json").read_text())["quadratic_variation"]
+    assert qv["passed"] and qv["expected"] == pytest.approx(0.88237, abs=1e-5)
 
 
 def test_bridge_demo_timestamp_isolated(tmp_path):

@@ -200,6 +200,20 @@ def test_drift_compensator_rejects_non_finite_paths(bridge_setup):
         drift_compensator(spec, values, x[:3])
 
 
+@pytest.mark.parametrize("phi", [indicator(1.0), jeulin_yor(1.5, 1.0)])
+def test_compensated_qv_is_the_grid_expectation(phi):
+    # a coarse grid, where the expectation lies well below t
+    grid = bridge_grid(8, include=(0.75,))
+    spec = EnlargementSpec(phi, grid)
+    k = grid.index_of(0.75)
+    values = simulate_brownian(grid, 40_000, SEED).values
+    wt = values - drift_compensator(spec, values, realize_X(spec, values))
+    qv = np.sum(np.diff(wt[:, : k + 1], axis=1) ** 2, axis=1)
+    se = qv.std(ddof=1) / math.sqrt(qv.size)
+    assert abs(qv.mean() - spec.compensated_qv(k)) <= 4.0 * se
+    assert 0.75 - spec.compensated_qv(k) > 8.0 * se
+
+
 def test_levy_compensator_at_nodes_matches_full_decomposition():
     grid = bridge_grid(64, include=(0.25, 0.75))
     ens = simulate_compound_poisson(grid, 3.0, rademacher_jumps(), 500, SEED)
