@@ -369,6 +369,10 @@ def run_levy_demo(
     martingale property against {1, Z_s, Z_T}."""
     observed = {float(u) for p in pairs for u in p} | {0.25, 0.5}
     grid = bridge_grid(n_base, include=tuple(sorted(observed)))
+    if rate * grid.horizon > grid.n_nodes:
+        # past this a block's jump arrays would outgrow its value matrix
+        raise ValueError(f"jump rate {rate} expects more jumps per path than the grid's "
+                         f"{grid.n_nodes} nodes")
     seedspec = SeedSpec(seed)
     times = grid.nodes
     pin = float(times[-1])  # discrete pinning at the last node
@@ -381,15 +385,15 @@ def run_levy_demo(
     wanted = battery.times_needed
     at = np.array([grid.index_of(u) for u in wanted])
     mean_times = (0.25, 0.5)
-    mean_cols = [grid.index_of(s) for s in mean_times]
+    read_times = sorted(set(wanted) | set(mean_times))
     increments = Moments(len(mean_times))
     label = f"compound_poisson(rate={rate},jumps={sampler.name})"
 
     def certify(z: np.ndarray, zt: np.ndarray) -> None:
         fv = levy_bridge_compensator(PathEnsemble(grid, z, label, seedspec), zt, pin, at=at)
-        z_cols = columns_at(z, times, wanted)
+        z_cols = columns_at(z, times, read_times)
         battery.update({u: z_cols[u] - fv[:, j] for j, u in enumerate(wanted)}, z_cols, zt)
-        increments.update(zt - z[:, mean_cols].T)
+        increments.update(zt - np.stack([z_cols[s] for s in mean_times]))
 
     simulate = partial(simulate_compound_poisson, grid, rate, sampler, seed=seedspec)
     _drive(stream_blocks(simulate, _terminal_value, n_paths, block), [certify])

@@ -186,7 +186,11 @@ class IncrementRegressionAccumulator:
 
 
 def columns_at(values: np.ndarray, times: np.ndarray, wanted: Sequence[float]) -> dict[float, np.ndarray]:
-    return {float(u): values[:, node_index(times, u)] for u in wanted}
+    """The columns of ``values`` at the nodes of ``wanted``, as contiguous
+    copies gathered in one pass over the rows (a column view would leave
+    every consumer a strided walk over the whole matrix)."""
+    cols = np.ascontiguousarray(values[:, [node_index(times, u) for u in wanted]].T)
+    return {float(u): col for u, col in zip(wanted, cols)}
 
 
 def increment_regression_test(

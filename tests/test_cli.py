@@ -65,6 +65,11 @@ NOT_POSITIVE = [
     ["lookahead-demo", "--paths", "100", "--levels", "8,x"],
 ]
 
+BAD_EPSILON = [
+    ["lookahead-demo", "--epsilon", eps, "--paths", "100"]
+    for eps in ("nan", "inf", "0", "-1", "2^nan")
+]
+
 
 @pytest.mark.parametrize("argv", [
     ["classify", "--alpha", "nan"],
@@ -80,6 +85,8 @@ NOT_POSITIVE = [
     ["levy-demo", "--jumps", "const:inf", "--paths", "100", "--steps", "16"],
     ["drift-sim", "--phi", "linear:T=nan", "--paths", "100", "--steps", "16"],
     *NOT_POSITIVE,
+    ["levy-demo", "--rate", "1e12", "--paths", "10", "--steps", "16"],
+    *BAD_EPSILON,
 ])
 def test_bad_input_is_a_config_error_before_any_work(argv, capsys):
     assert _exit_code(argv) == EXIT_CONFIG
@@ -93,6 +100,15 @@ def test_counts_are_checked_at_parse_time(argv, capsys):
     assert exc.value.code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "is not a positive integer" in err
+
+
+@pytest.mark.parametrize("argv", BAD_EPSILON)
+def test_epsilon_is_checked_at_parse_time(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "is not a finite positive number" in err
 
 
 def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
@@ -167,6 +183,15 @@ def test_mg_test_pass_and_fail():
 def test_lookahead_demo_runs():
     assert main(["lookahead-demo", "--paths", "2000", "--levels", "8,10",
                  "--epsilon", "2^-6", "--seed", "4"]) == EXIT_PASS
+
+
+def test_lookahead_sup_check_allows_for_sampling_error():
+    # at level 8 the tail bound 0.0171 lies 0.001 above the exact probability;
+    # seed 4 estimates 0.0184 from 5000 paths, 1.3 standard errors above it
+    assert main(["lookahead-demo", "--paths", "5000", "--levels", "8,10", "--seed", "4"]) == EXIT_PASS
+    # at coarse levels the tail bound exceeds 1 and bounds nothing
+    assert main(["lookahead-demo", "--paths", "200", "--levels", "1,2", "--epsilon", "0.5",
+                 "--seed", "1"]) == EXIT_PASS
 
 
 def test_lookahead_rejects_unpredictable_level():

@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from enlargekit.experiments import bridge_grid, run_levy_demo
 from enlargekit.grid import build_grid
 from enlargekit.paths import (
     SeedSpec,
+    _place_jumps,
     constant_jumps,
+    normal_jumps,
     parse_jump_sampler,
     rademacher_jumps,
     simulate_brownian,
@@ -105,3 +109,86 @@ def test_jump_sampler_parsing():
     assert s.mean == 1.0 and s.second_moment == 5.0
     with pytest.raises(ValueError):
         parse_jump_sampler("zeta:s=2")
+
+
+def _per_path_compound_poisson(grid, rate, draw, n_paths, seed, first_path_index):
+    """Reference: one path at a time, each from a fresh generator, jumps
+    sorted and summed per path and read off at the nodes."""
+    values = np.empty((n_paths, grid.n_nodes))
+    for i in range(n_paths):
+        rng = seed.generator_for_path(first_path_index + i)
+        k = rng.poisson(rate * grid.horizon)
+        if k == 0:
+            values[i] = 0.0
+            continue
+        times = np.sort(rng.uniform(0.0, grid.horizon, k))
+        cum = np.concatenate([[0.0], np.cumsum(draw(rng, k))])
+        values[i] = cum[np.searchsorted(times, grid.nodes, side="right")]
+    return values
+
+
+SAMPLER_REFERENCES = {
+    "pm1": (rademacher_jumps(), lambda rng, k: rng.choice((-1.0, 1.0), size=k)),
+    "const": (constant_jumps(1.5), lambda rng, k: np.full(k, 1.5)),
+    "const:-0.0": (constant_jumps(-0.0), lambda rng, k: np.full(k, -0.0)),
+    "normal": (normal_jumps(0.3, 1.7), lambda rng, k: 0.3 + 1.7 * rng.standard_normal(k)),
+}
+
+
+@pytest.mark.parametrize("rate", [0.0, 1.0, 25.0])
+@pytest.mark.parametrize("name", sorted(SAMPLER_REFERENCES))
+def test_compound_poisson_is_byte_identical_to_per_path_reference(name, rate):
+    sampler, draw = SAMPLER_REFERENCES[name]
+    grid = build_grid(2.5, 300)  # horizon != 1; 5000 paths span several row slices
+    seed = SeedSpec(4242)
+    for n, first in ((1, 123456), (2049, 0), (5000, 123456)):
+        got = simulate_compound_poisson(grid, rate, sampler, n, seed, first_path_index=first).values
+        want = _per_path_compound_poisson(grid, rate, draw, n, seed, first)
+        assert got.tobytes() == want.tobytes(), (name, rate, n, first)
+
+
+def test_jump_placement_at_nodes_ends_and_within_one_interval():
+    nodes = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    paths = [
+        [0.25, 0.5],          # exactly on nodes: counted at that node
+        [0.0],                # at t = 0
+        [1.0],                # at t = T
+        [0.6, 0.3, 0.7],      # unsorted; two jumps inside (0.5, 0.75]
+        [],
+        [0.1, 0.1],           # two jumps at one time
+    ]
+    sizes = [[1.0, 2.0], [5.0], [7.0], [1.0, 10.0, 100.0], [], [3.0, -1.0]]
+    counts = np.array([len(t) for t in paths])
+    values = np.full((len(paths), nodes.size), np.nan)
+    _place_jumps(values, nodes, counts, np.array(sum(paths, []), dtype=float),
+                 np.array(sum(sizes, []), dtype=float))
+    assert values.tolist() == [
+        [0.0, 1.0, 3.0, 3.0, 3.0],
+        [5.0, 5.0, 5.0, 5.0, 5.0],
+        [0.0, 0.0, 0.0, 0.0, 7.0],
+        [0.0, 0.0, 1.0, 111.0, 111.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 2.0, 2.0, 2.0, 2.0],
+    ]
+
+
+def test_rademacher_sampler_matches_choice_and_stream_position():
+    draw = rademacher_jumps().draw
+    for path in range(200):
+        for k in range(1, 10):
+            a = SeedSpec(17).generator_for_path(path)
+            b = SeedSpec(17).generator_for_path(path)
+            assert np.array_equal(draw(a, k), b.choice((-1.0, 1.0), size=k))
+            assert a.random() == b.random()
+
+
+def test_streamed_levy_stays_within_one_and_a_half_block_matrices():
+    tracemalloc.start()
+    try:
+        report = run_levy_demo(1.0, rademacher_jumps(), 4096, 256, 20240901, block=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["n_paths"] == 4096
+    block_bytes = 4096 * bridge_grid(256, include=(0.25, 0.5, 0.75)).n_nodes * 8
+    assert peak < 1.5 * block_bytes, f"peak {peak / block_bytes:.2f} block matrices"
