@@ -95,7 +95,8 @@ def _parse_epsilon(text: str) -> float:
     return eps
 
 
-def _write_report(out: str | None, name: str, report: dict, stamp: bool) -> None:
+def _write_report(out: str | None, name: str, report: dict, stamp: bool, csv: str = "") -> None:
+    """<name>.json under ``out``, and <name>.csv holding ``csv`` if given."""
     if out is None:
         return
     out_dir = Path(out)
@@ -106,6 +107,9 @@ def _write_report(out: str | None, name: str, report: dict, stamp: bool) -> None
     with open(out_dir / f"{name}.json", "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2, sort_keys=True, default=_json_default)
         f.write("\n")
+    if csv:
+        with open(out_dir / f"{name}.csv", "w", encoding="utf-8") as f:
+            f.write(csv)
 
 
 def _json_default(x):
@@ -148,11 +152,8 @@ def cmd_classify(args) -> int:
         "verdict": verdict.verdict,
         "rungs_used": max(verdict.jy.rungs_used, verdict.l2.rungs_used),
     }
-    _write_report(args.out, "classify", report, not args.no_timestamp)
-    if args.out:
-        with open(Path(args.out) / "classify.csv", "w", encoding="utf-8") as f:
-            f.write("family,params,T,jy_value,l2_value,verdict,rungs_used\n")
-            f.write(verdict.record() + "\n")
+    csv = "family,params,T,jy_value,l2_value,verdict,rungs_used\n" + verdict.record() + "\n"
+    _write_report(args.out, "classify", report, not args.no_timestamp, csv)
     print(f"classify {verdict.family} T={verdict.T:g}: {verdict.verdict} "
           f"(jy={verdict.jy.render_value()}, l2={verdict.l2.render_value()})")
     if verdict.verdict == SEMIMARTINGALE:
@@ -271,7 +272,8 @@ def cmd_finite_demo(args) -> int:
         mart = finitelab.random_adapted_martingale(space, filtration, rng)
         gir = finitelab.discrete_girsanov(mart, setup) if ok_ac else None
         jac = finitelab.jacod_discrete_checks(space, filtration, x_map)
-        case_ok = ok_ac and z_mart and gir is not None and gir.is_enlarged_martingale and jac.absolutely_continuous
+        jacod_z = finitelab.jacod_identity_holds(setup, x_map, jac)
+        case_ok = ok_ac and z_mart and gir.is_enlarged_martingale and jac.absolutely_continuous and jacod_z
         all_ok = all_ok and case_ok
         results.append({
             "outcomes": list(space.outcomes),
@@ -283,6 +285,7 @@ def cmd_finite_demo(args) -> int:
             "girsanov_exact_martingale": None if gir is None else gir.is_enlarged_martingale,
             "girsanov_compensator_final": None if gir is None else gir.compensator[-1],
             "conditional_law_report": jac.to_json_dict(),
+            "jacod_density_is_likelihood": jacod_z,
             "ok": case_ok,
         })
     report = {

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TimeGrid
-from .integrands import DeterministicIntegrand, residual_variance, running_mean
+from .integrands import DeterministicIntegrand, running_mean
 from .classifier import SEMIMARTINGALE, classify
 from .mgtests import Moments
 from .paths import PathEnsemble, row_slices, split_rows
@@ -68,15 +68,16 @@ class EnlargementSpec:
             raise EnlargementError("simulation horizon runs into the information horizon")
 
     def drift_weights(self) -> np.ndarray:
-        """φ(t_i) Δt_i / σ²_{t_i} at every left node.
+        """φ(t_i) Δt_i / σ²_i at every left node, σ²_i = Σ_{j≥i} φ(t_j)² Δt_j
+        being the variance left, given the path up to t_i, in the X that
+        :func:`realize_X` builds on this grid.
 
         Nodes where φ vanishes contribute no drift, so they never touch
-        σ²; anywhere else a vanished residual variance means the grid ran
-        into the information horizon.
+        σ²; anywhere else a vanished σ² means the grid ran into the
+        information horizon (or φ² underflowed).
         """
-        t = self.grid.nodes[:-1]
-        w = np.asarray(self.phi(t), dtype=float)
-        sig2 = np.array([residual_variance(self.phi, float(s)) for s in t])
+        w = np.asarray(self.phi(self.grid.nodes[:-1]), dtype=float)
+        sig2 = np.cumsum((w * w * self.grid.steps)[::-1])[::-1]
         live = w != 0.0
         if np.any(sig2[live] <= 0.0):
             raise EnlargementError("residual variance vanishes inside the grid")

@@ -10,16 +10,18 @@ push-forward measure p̄ carries the original dynamics while the product
 measure q̄ = P⊗R decouples the two information streams.  Enlarging the
 filtration on Ω is the same as changing measure from q̄ to p̄ on the
 product, so a likelihood (Radon–Nikodym) stage process and a discrete
-Girsanov compensation do all the work, and both can be verified
-blockwise, exactly, by enumeration.
+Girsanov compensation do all the work.  Both read one table per stage of
+the product blocks F_a × H_b and their masses, and are verified exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 Outcome = str
@@ -70,24 +72,22 @@ class Partition:
     def __post_init__(self):
         blocks = tuple(sorted((frozenset(b) for b in self.blocks), key=lambda b: sorted(b)))
         object.__setattr__(self, "blocks", blocks)
-        seen: set = set()
+        index: dict = {}
         for b in blocks:
             if not b:
                 raise FiniteLabError("empty partition block")
-            if seen & b:
+            if not b.isdisjoint(index):
                 raise FiniteLabError("partition blocks overlap")
-            seen |= b
-        object.__setattr__(self, "_universe", frozenset(seen))
+            index.update(dict.fromkeys(b, b))
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_universe", frozenset(index))
 
     @property
     def universe(self) -> Block:
         return self._universe  # type: ignore[attr-defined]
 
     def block_of(self, w: Outcome) -> Block:
-        for b in self.blocks:
-            if w in b:
-                return b
-        raise KeyError(w)
+        return self._index[w]  # type: ignore[attr-defined]
 
     def refines(self, coarser: "Partition") -> bool:
         return all(any(b <= c for c in coarser.blocks) for b in self.blocks)
@@ -220,9 +220,29 @@ def doob_decomposition(
 ProductOutcome = tuple[Outcome, Outcome]
 
 
+@dataclass(frozen=True)
+class Cell:
+    """One block F_a × H_b of a product stage, with its two masses."""
+
+    f: Block
+    h: Block
+    pbar: Fraction   # P(F_a ∩ H_b): the diagonal's mass in the rectangle
+    qbar: Fraction   # P(F_a)·R(H_b)
+
+    @cached_property
+    def z(self) -> Fraction:
+        """dp̄/dq̄ on the cell, 0 where q̄ vanishes."""
+        return self.pbar / self.qbar if self.qbar else Fraction(0)
+
+
 @dataclass(frozen=True, eq=False)
 class ProductSetup:
-    """Ω×Ω with the diagonal push-forward p̄ and the decoupling q̄ = P⊗R."""
+    """Ω×Ω with the diagonal push-forward p̄ and the decoupling q̄ = P⊗R.
+
+    Every product-stage block is a rectangle F_a × H_b, so both masses
+    factor; ``cells[k]`` maps (F_a, H_b) to its stage-k cell, F-blocks
+    outermost, and is the only place the masses are computed.
+    """
 
     space: FiniteOutcomeSpace
     F: FiniteFiltration
@@ -232,36 +252,35 @@ class ProductSetup:
     def __post_init__(self):
         if len(self.F) != len(self.H):
             raise FiniteLabError("component filtrations must have equal stage counts")
-        if self.R is None:
-            object.__setattr__(self, "R", dict(self.space.prob))
-        rvals = [Fraction(v) for v in self.R.values()]
-        if set(self.R) != set(self.space.outcomes) or any(v < 0 for v in rvals) or sum(rvals, Fraction(0)) != 1:
+        outcomes = frozenset(self.space.outcomes)
+        if self.F.stages[0].universe != outcomes or self.H.stages[0].universe != outcomes:
+            raise FiniteLabError("component filtrations must partition the outcome space")
+        R = {w: Fraction(v) for w, v in (self.space.prob if self.R is None else self.R).items()}
+        if set(R) != outcomes or any(v < 0 for v in R.values()) or sum(R.values(), Fraction(0)) != 1:
             raise FiniteLabError("R must be an exact probability on the same outcomes")
+        object.__setattr__(self, "R", R)
+        cells = []
+        for fk, hk in zip(self.F.stages, self.H.stages):
+            r_of = {hb: sum((R[w] for w in hb), Fraction(0)) for hb in hk.blocks}
+            stage = {}
+            for fa in fk.blocks:
+                meet = dict.fromkeys(hk.blocks, Fraction(0))
+                for w in fa:
+                    meet[hk.block_of(w)] += self.space.prob[w]
+                pf = self.space.measure(fa)
+                for hb, mass in meet.items():
+                    stage[fa, hb] = Cell(fa, hb, mass, pf * r_of[hb])
+            cells.append(stage)
+        object.__setattr__(self, "cells", tuple(cells))
 
     @property
     def n_stages(self) -> int:
         return len(self.F)
 
-    def pbar(self, pair: ProductOutcome) -> Fraction:
-        w, w2 = pair
-        return self.space.prob[w] if w == w2 else Fraction(0)
-
-    def qbar(self, pair: ProductOutcome) -> Fraction:
-        return self.space.prob[pair[0]] * self.R[pair[1]]
-
-    def pbar_block(self, block) -> Fraction:
-        return sum((self.pbar(p) for p in block), Fraction(0))
-
-    def qbar_block(self, block) -> Fraction:
-        return sum((self.qbar(p) for p in block), Fraction(0))
-
-    def product_stage(self, k: int) -> Partition:
-        blocks = [
-            frozenset((a, b) for a in fa for b in hb)
-            for fa in self.F.stages[k].blocks
-            for hb in self.H.stages[k].blocks
-        ]
-        return Partition(tuple(blocks))
+    def key(self, k: int, w: Outcome, w2: Outcome) -> tuple[Block, Block]:
+        """Key in ``cells[k]`` of the cell holding the pair (w, w2); a cell
+        of stage k + 1 lies in the stage-k cell of any of its pairs."""
+        return self.F.stages[k].block_of(w), self.H.stages[k].block_of(w2)
 
     def diagonal_stage(self, k: int) -> Partition:
         """Trace of the product stage on the diagonal: the enlarged
@@ -282,43 +301,36 @@ def enlargement_setup(
 
 def check_absolute_continuity(setup: ProductSetup) -> tuple[bool, tuple[int, Block] | None]:
     """True iff every q̄-null product-stage block is p̄-null; witness on failure."""
-    for k in range(setup.n_stages):
-        for b in setup.product_stage(k).blocks:
-            if setup.qbar_block(b) == 0 and setup.pbar_block(b) > 0:
-                return False, (k, b)
+    for k, stage in enumerate(setup.cells):
+        for c in stage.values():
+            if c.qbar == 0 and c.pbar > 0:
+                return False, (k, frozenset(itertools.product(c.f, c.h)))
     return True, None
 
 
+def _require_absolute_continuity(setup: ProductSetup) -> None:
+    ok, witness = check_absolute_continuity(setup)
+    if not ok:
+        raise AbsoluteContinuityError(*witness)
+
+
 def likelihood_process(setup: ProductSetup) -> list[dict[ProductOutcome, Fraction]]:
-    """Stagewise Radon–Nikodym derivative dp̄/dq̄ on product blocks."""
-    stages = []
-    for k in range(setup.n_stages):
-        zk: dict[ProductOutcome, Fraction] = {}
-        for b in setup.product_stage(k).blocks:
-            q = setup.qbar_block(b)
-            p = setup.pbar_block(b)
-            if q == 0:
-                if p > 0:
-                    raise AbsoluteContinuityError(k, b)
-                val = Fraction(0)
-            else:
-                val = p / q
-            for pair in b:
-                zk[pair] = val
-        stages.append(zk)
-    return stages
+    """Stagewise Radon–Nikodym derivative dp̄/dq̄, per product pair."""
+    _require_absolute_continuity(setup)
+    return [{pair: c.z for c in stage.values() for pair in itertools.product(c.f, c.h)}
+            for stage in setup.cells]
 
 
-def likelihood_is_decoupled_martingale(setup: ProductSetup, Z=None) -> bool:
-    """Exact q̄-martingale property of the likelihood stages."""
-    Z = likelihood_process(setup) if Z is None else Z
-    for k in range(setup.n_stages - 1):
-        for b in setup.product_stage(k).blocks:
-            q = setup.qbar_block(b)
-            if q == 0:
-                continue
-            mean = sum((setup.qbar(p) * Z[k + 1][p] for p in b), Fraction(0)) / q
-            if mean != Z[k][next(iter(b))]:
+def likelihood_is_decoupled_martingale(setup: ProductSetup) -> bool:
+    """Exact q̄-martingale property of the likelihood stages: on every
+    q̄-charged cell, the q̄-mean of Z_{k+1} over its child cells is Z_k."""
+    _require_absolute_continuity(setup)
+    for k in range(1, setup.n_stages):
+        mass = dict.fromkeys(setup.cells[k - 1], Fraction(0))
+        for c in setup.cells[k].values():
+            mass[setup.key(k - 1, min(c.f), min(c.h))] += c.qbar * c.z
+        for key, c in setup.cells[k - 1].items():
+            if c.qbar and mass[key] / c.qbar != c.z:
                 return False
     return True
 
@@ -338,64 +350,34 @@ def discrete_girsanov(
     """Compensates an exact F-martingale so it becomes an exact
     martingale for the enlarged filtration.
 
-    The compensator increment on each stage-(k−1) product block is
-    E_q̄[ΔZ_k ΔM_k | block] / Z_{k−1}(block), pulled back along the
-    diagonal; the output is verified blockwise and exactly.
+    The increment on a stage-(k−1) cell C is E_q̄[ΔZ_k ΔM_k | C] / Z_{k−1}(C)
+    = E_q̄[ΔZ_k ΔM_k; C] / p̄(C), summed over C's stage-k cells, and 0 on
+    a p̄-null cell; it is read on the diagonal, and the output is verified
+    blockwise and exactly.
     """
     if len(M) > setup.n_stages:
         raise FiniteLabError("process has more stages than the setup")
     if not is_exact_martingale(M, setup.F, setup.space):
         raise FiniteLabError("input process is not an exact martingale for its own filtration")
-    ok, witness = check_absolute_continuity(setup)
-    if not ok:
-        raise AbsoluteContinuityError(*witness)
-    Z = likelihood_process(setup)
+    _require_absolute_continuity(setup)
 
-    pairs = [(a, b) for a in setup.space.outcomes for b in setup.space.outcomes]
-    c_prev = {p: Fraction(0) for p in pairs}
-    compensator_stages = [c_prev]
+    outcomes = setup.space.outcomes
+    compensator = [dict.fromkeys(outcomes, Fraction(0))]
     for k in range(1, len(M)):
-        stage_prev = setup.product_stage(k - 1)
-        ck: dict[ProductOutcome, Fraction] = {}
-        for b in stage_prev.blocks:
-            q = setup.qbar_block(b)
-            if q == 0:
-                if setup.pbar_block(b) > 0:
-                    raise FiniteLabError("likelihood vanished on a diagonal-mass block")
-                for p in b:
-                    ck[p] = c_prev[p]
-                continue
-            z_prev = Z[k - 1][next(iter(b))]
-            num = sum(
-                (
-                    setup.qbar(p)
-                    * (Z[k][p] - Z[k - 1][p])
-                    * (Fraction(M[k][p[0]]) - Fraction(M[k - 1][p[0]]))
-                    for p in b
-                ),
-                Fraction(0),
-            )
-            if z_prev == 0:
-                if setup.pbar_block(b) > 0:
-                    raise FiniteLabError("likelihood vanished on a diagonal-mass block")
-                step = Fraction(0)
-            else:
-                step = (num / q) / z_prev
-            for p in b:
-                ck[p] = c_prev[p] + step
-        compensator_stages.append(ck)
-        c_prev = ck
+        delta = {w: Fraction(M[k][w]) - Fraction(M[k - 1][w]) for w in outcomes}
+        dm, _ = conditional_expectation(delta, setup.F.stages[k], setup.space)
+        prev = setup.cells[k - 1]
+        num = dict.fromkeys(prev, Fraction(0))
+        for c in setup.cells[k].values():
+            key = setup.key(k - 1, min(c.f), min(c.h))
+            num[key] += c.qbar * (c.z - prev[key].z) * dm[min(c.f)]
+        step = {key: num[key] / c.pbar if c.pbar else Fraction(0) for key, c in prev.items()}
+        compensator.append({w: compensator[-1][w] + step[setup.key(k - 1, w, w)] for w in outcomes})
 
-    comp_on_base = tuple(
-        {w: c[(w, w)] for w in setup.space.outcomes} for c in compensator_stages
-    )
-    compensated = tuple(
-        {w: Fraction(M[k][w]) - comp_on_base[k][w] for w in setup.space.outcomes}
-        for k in range(len(M))
-    )
+    compensated = tuple({w: Fraction(M[k][w]) - compensator[k][w] for w in outcomes} for k in range(len(M)))
     enlarged = FiniteFiltration(tuple(setup.diagonal_stage(k) for k in range(len(M))))
     verified = is_exact_martingale(compensated, enlarged, setup.space)
-    return GirsanovResult(compensated, comp_on_base, enlarged, verified)
+    return GirsanovResult(compensated, tuple(compensator), enlarged, verified)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +448,19 @@ def jacod_discrete_checks(
         tables.append(table)
         density.append(dens)
     return ConditionalLawReport(values, law, tuple(tables), tuple(density), abs_cont)
+
+
+def jacod_identity_holds(setup: ProductSetup, X: Mapping[Outcome, object],
+                         report: ConditionalLawReport) -> bool:
+    """Jacod's identity for ``enlargement_setup(space, F, X)`` with R = P:
+    the likelihood on the cell A × {X=x} is the density r_k(A, x) of
+    ``jacod_discrete_checks(space, F, X)`` wherever P(X=x) > 0."""
+    for k, stage in enumerate(setup.cells):
+        for c in stage.values():
+            x = X[min(c.h)]
+            if report.law[x] > 0 and report.density_tables[k][c.f][x] != c.z:
+                return False
+    return True
 
 
 def countable_enlargement_reduces(

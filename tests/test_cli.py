@@ -232,6 +232,17 @@ def test_bridge_demo_checks_qv_against_its_grid_expectation(tmp_path):
     assert qv["passed"] and qv["expected"] == pytest.approx(0.88237, abs=1e-5)
 
 
+@pytest.mark.parametrize("alpha", ["0.6", "0.75"])
+def test_drift_sim_compensates_a_slowly_decaying_phi(alpha, tmp_path):
+    # with the continuous σ²_t = ∫_t^∞ φ² in the drift, these failed at
+    # max |z| 50.03 and 30.92: σ² must be that of the X the grid builds
+    argv = ["drift-sim", "--phi", f"jy:alpha={alpha},T=1", "--paths", "20000", "--seed", "3",
+            "--out", str(tmp_path), "--no-timestamp"]
+    assert main(argv) == EXIT_PASS
+    report = json.loads((tmp_path / "drift_sim.json").read_text())
+    assert max(abs(t["z"]) for t in report["battery"]["tests"]) <= report["threshold"]
+
+
 def test_bridge_demo_timestamp_isolated(tmp_path):
     args = ["bridge-demo", "--paths", "2000", "--steps", "256", "--seed", "1"]
     assert main(args + ["--out", str(tmp_path / "t1")]) == EXIT_PASS

@@ -214,6 +214,17 @@ def test_compensated_qv_is_the_grid_expectation(phi):
     assert 0.75 - spec.compensated_qv(k) > 8.0 * se
 
 
+def test_drift_conditions_on_the_grid_variance_of_X():
+    # σ² at node i is Σ_{j≥i} φ(t_j)² Δt_j, the variance left in the X that
+    # realize_X builds, so the bridge's last weight is exactly 1
+    spec = EnlargementSpec(indicator(1.0), bridge_grid(64))
+    assert spec.drift_weights()[-1] == 1.0
+    spec = EnlargementSpec(jeulin_yor(0.6, 1.0), bridge_grid(16))
+    phi = np.asarray(spec.phi(spec.grid.nodes[:-1]))
+    tail = [np.sum(phi[i:] ** 2 * spec.grid.steps[i:]) for i in range(phi.size)]
+    assert np.allclose(spec.drift_weights(), phi * spec.grid.steps / tail, rtol=1e-12, atol=0)
+
+
 def test_levy_compensator_at_nodes_matches_full_decomposition():
     grid = bridge_grid(64, include=(0.25, 0.75))
     ens = simulate_compound_poisson(grid, 3.0, rademacher_jumps(), 500, SEED)

@@ -1,9 +1,15 @@
+import dataclasses
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from enlargekit import finitelab as fl
+from enlargekit.cli import EXIT_STAT_FAIL, main
+
+FOUR_OUTCOME = Path(__file__).resolve().parents[1] / "instances" / "four_outcome.cfg"
 
 
 @pytest.fixture()
@@ -156,13 +162,125 @@ def test_likelihood_enumeration_oracle(four_uniform):
     X = {"1": 1, "2": 1, "3": 0, "4": 0}
     setup = fl.enlargement_setup(space, filt, X)
     z = fl.likelihood_process(setup)
-    # direct ratio of measures on the single product stage
-    stage = setup.product_stage(0)
-    for block in stage.blocks:
-        expect = setup.pbar_block(block) / setup.qbar_block(block)
+    # direct ratio of measures on the single product stage, pair by pair
+    for block in _pair_blocks(setup, 0):
+        expect = _pbar(space, block) / _qbar(space, space.prob, block)
         for pair in block:
             assert z[0][pair] == expect
     assert fl.likelihood_is_decoupled_martingale(setup)
+
+
+# -- per-pair reference: the product space enumerated pair by pair ----------
+
+
+def _pair_blocks(setup, k):
+    return [
+        frozenset((a, b) for a in fa for b in hb)
+        for fa in sorted(setup.F.stages[k].blocks, key=sorted)
+        for hb in sorted(setup.H.stages[k].blocks, key=sorted)
+    ]
+
+
+def _pbar(space, block):
+    return sum((space.prob[a] for a, b in block if a == b), F(0))
+
+
+def _qbar(space, R, block):
+    return sum((space.prob[a] * R[b] for a, b in block), F(0))
+
+
+def _reference_likelihood(setup, R):
+    stages = []
+    for k in range(setup.n_stages):
+        zk = {}
+        for b in _pair_blocks(setup, k):
+            q, p = _qbar(setup.space, R, b), _pbar(setup.space, b)
+            if q == 0 and p > 0:
+                raise fl.AbsoluteContinuityError(k, b)
+            zk.update(dict.fromkeys(b, p / q if q else F(0)))
+        stages.append(zk)
+    return stages
+
+
+def _reference_decoupled_martingale(setup, R):
+    Z = _reference_likelihood(setup, R)
+    for k in range(setup.n_stages - 1):
+        for b in _pair_blocks(setup, k):
+            q = _qbar(setup.space, R, b)
+            if q and sum((_qbar(setup.space, R, {p}) * Z[k + 1][p] for p in b), F(0)) / q != Z[k][next(iter(b))]:
+                return False
+    return True
+
+
+def _reference_girsanov(M, setup, R):
+    space = setup.space
+    if len(M) > setup.n_stages:
+        raise fl.FiniteLabError("process has more stages than the setup")
+    if not fl.is_exact_martingale(M, setup.F, space):
+        raise fl.FiniteLabError("input process is not an exact martingale for its own filtration")
+    Z = _reference_likelihood(setup, R)
+    c_prev = {(a, b): F(0) for a in space.outcomes for b in space.outcomes}
+    stages = [c_prev]
+    for k in range(1, len(M)):
+        ck = {}
+        for b in _pair_blocks(setup, k - 1):
+            q, z_prev = _qbar(space, R, b), Z[k - 1][next(iter(b))]
+            num = sum(
+                (space.prob[p[0]] * R[p[1]] * (Z[k][p] - Z[k - 1][p]) * (M[k][p[0]] - M[k - 1][p[0]]) for p in b),
+                F(0),
+            )
+            step = (num / q) / z_prev if q and z_prev else F(0)
+            for p in b:
+                ck[p] = c_prev[p] + step
+        stages.append(ck)
+        c_prev = ck
+    comp = [{w: c[(w, w)] for w in space.outcomes} for c in stages]
+    compensated = [{w: M[k][w] - comp[k][w] for w in space.outcomes} for k in range(len(M))]
+    enlarged = fl.join_filtrations(fl.FiniteFiltration(setup.F.stages[: len(M)]),
+                                   fl.FiniteFiltration(setup.H.stages[: len(M)]))
+    return comp, compensated, fl.is_exact_martingale(compensated, enlarged, space)
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type and arguments of what it raises."""
+    try:
+        return fn(*args)
+    except fl.FiniteLabError as e:
+        return type(e), e.args
+
+
+def _random_refinement(outcomes, n_stages, rng):
+    stages = [fl.partition_from_labels({w: rng.randrange(3) for w in outcomes})]
+    while len(stages) < n_stages:
+        stages.append(stages[-1].join(fl.partition_from_labels({w: rng.randrange(2) for w in outcomes})))
+    return fl.FiniteFiltration(tuple(stages))
+
+
+def test_stage_table_matches_per_pair_reference():
+    rng = random.Random(2024)
+    violations = 0
+    for _ in range(150):
+        space, filt, _ = fl.random_instance(rng)
+        H = _random_refinement(space.outcomes, len(filt), rng)
+        weights = [rng.choice((0, 1, 2, 5)) for _ in space.outcomes]
+        weights[rng.randrange(len(weights))] += 1
+        R = {w: F(v, sum(weights)) for w, v in zip(space.outcomes, weights)}
+        setup = fl.ProductSetup(space, filt, H, dict(R))
+        blocks = [(k, b) for k in range(setup.n_stages) for b in _pair_blocks(setup, k)]
+        witness = next(((k, b) for k, b in blocks if _qbar(space, R, b) == 0 and _pbar(space, b) > 0), None)
+        assert fl.check_absolute_continuity(setup) == (witness is None, witness)
+        violations += witness is not None
+        assert _outcome(fl.likelihood_process, setup) == _outcome(_reference_likelihood, setup, R)
+        assert (_outcome(fl.likelihood_is_decoupled_martingale, setup)
+                == _outcome(_reference_decoupled_martingale, setup, R))
+        M = fl.random_adapted_martingale(space, filt, rng)
+        for process in (M, M[:1], [M[0], {w: v + 1 for w, v in M[-1].items()}]):
+            expect = _outcome(_reference_girsanov, process, setup, R)
+            got = _outcome(fl.discrete_girsanov, process, setup)
+            if isinstance(got, fl.GirsanovResult):
+                got = list(got.compensator), list(got.compensated), got.is_enlarged_martingale
+            assert got == expect
+    assert 0 < violations < 150
 
 
 def test_likelihood_absolute_continuity_violation(four_uniform):
@@ -235,6 +353,38 @@ def test_jacod_tables(four_uniform):
     rep3 = fl.jacod_discrete_checks(space, filt, x_mixed)
     row = rep3.tables[0][frozenset({"1", "2"})]
     assert row["a"] == F(1, 2) and row["b"] == F(1, 2)
+
+
+def test_jacod_density_is_the_stage_table_likelihood():
+    rng = random.Random(31)
+    for _ in range(40):
+        space, filt, X = fl.random_instance(rng)
+        setup = fl.enlargement_setup(space, filt, X)
+        assert fl.jacod_identity_holds(setup, X, fl.jacod_discrete_checks(space, filt, X))
+    space, filt, X = fl.parse_instance(FOUR_OUTCOME.read_text())
+    report = fl.jacod_discrete_checks(space, filt, X)
+    for mass in ("pbar", "qbar"):
+        setup = fl.enlargement_setup(space, filt, X)
+        assert fl.jacod_identity_holds(setup, X, report)
+        key, cell = next(iter(setup.cells[1].items()))
+        setup.cells[1][key] = dataclasses.replace(cell, **{mass: getattr(cell, mass) + F(1, 64)})
+        assert not fl.jacod_identity_holds(setup, X, report)
+
+
+def test_finite_demo_fails_an_instance_whose_cell_mass_is_mutated(tmp_path, monkeypatch):
+    build = fl.enlargement_setup
+
+    def mutated(*args):
+        setup = build(*args)
+        key, cell = next(iter(setup.cells[0].items()))
+        setup.cells[0][key] = dataclasses.replace(cell, pbar=cell.pbar * 2)
+        return setup
+
+    monkeypatch.setattr(fl, "enlargement_setup", mutated)
+    argv = ["finite-demo", "--instance", str(FOUR_OUTCOME), "--out", str(tmp_path), "--no-timestamp"]
+    assert main(argv) == EXIT_STAT_FAIL
+    (case,) = json.loads((tmp_path / "finite_demo.json").read_text())["instances"]
+    assert case["jacod_density_is_likelihood"] is False and case["ok"] is False
 
 
 def test_countable_enlargement_reduction(four_uniform):

@@ -1,6 +1,7 @@
 """Row-split kernels: splitting a block's rows across cores changes no bit,
 keeps every error, and never disturbs the benchmark's span tracer."""
 
+import builtins
 import functools
 import importlib.util
 import multiprocessing
@@ -221,3 +222,29 @@ def test_traced_bridge_keeps_one_span_tree():
             parent = tracer.spans[s.parent]
             assert parent.start <= s.start and s.end <= parent.end, (parent.name, s.name)
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["classify", "--alpha", "0.75", "--T", "1"], {"classify.json", "classify.csv"}),
+    (["finite-demo", "--random", "3", "--seed", "2"], {"finite_demo.json"}),
+])
+def test_report_files_are_opened_inside_the_report_span(argv, files, tmp_path, monkeypatch):
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        if Path(file).parent == tmp_path:
+            inside = any(tracer.spans[i].name == "cli.report_write" for i in tracer._stack)
+            opened.append((Path(file).name, inside))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    tracer.install()
+    try:
+        main(argv + ["--out", str(tmp_path), "--no-timestamp"])
+    finally:
+        tracer.uninstall()
+    assert {name for name, _ in opened} == files
+    assert all(inside for _, inside in opened), opened
