@@ -58,15 +58,12 @@ from .enlargement import (
     integrate_under_enlargement,
     levy_bridge_compensator,
     realize_X,
-    symmetry_identity_check,
 )
 from .mgtests import (
     BasisFunction,
     MartingaleTestReport,
     default_basis,
     increment_regression_test,
-    levy_characterization_suite,
-    non_integrator_demo,
 )
 from . import finitelab
 

@@ -30,13 +30,7 @@ from . import experiments, finitelab
 from .integrands import jeulin_yor, parse_integrand
 from .classifier import SEMIMARTINGALE, UNDECIDED, classify
 from .enlargement import RefusedNonSemimartingaleError
-from .mgtests import (
-    BasisFunction,
-    increment_regression_test,
-    levy_characterization_suite,
-)
-from .paths import SeedSpec, parse_jump_sampler, simulate_brownian
-from .grid import build_grid
+from .paths import parse_jump_sampler
 
 EXIT_PASS = 0
 EXIT_STAT_FAIL = 2
@@ -210,34 +204,17 @@ def cmd_drift_sim(args) -> int:
 
 
 def cmd_mg_test(args) -> int:
-    grid = build_grid(1.0, args.steps)
-    ens = simulate_brownian(grid, args.paths, SeedSpec(args.seed))
-    values = ens.values
-    if args.process == "drifted":
-        values = values + args.drift * grid.nodes
-    basis = [BasisFunction("1", lambda w, x: np.ones_like(w)), BasisFunction("W_s", lambda w, x: w)]
-    battery = increment_regression_test(
-        values, grid.nodes, np.zeros(args.paths), ((0.25, 0.5), (0.5, 0.75)),
-        basis, args.threshold, seeds=ens.seed_record,
-    )
-    suite = levy_characterization_suite(values, grid.nodes, args.threshold)
-    report = {
-        "command": "mg-test",
-        "process": args.process,
-        "drift": args.drift,
-        "seed": args.seed,
-        "battery": battery.to_dict(),
-        "characterization": {
-            "checks": [vars(c) for c in suite.checks],
-            "verdict": "pass" if suite.verdict else "fail",
-        },
-    }
+    drift = args.drift if args.process == "drifted" else 0.0
+    report = experiments.run_mg_test(drift, args.paths, args.steps, args.seed, args.threshold)
+    report.update(command="mg-test", process=args.process, drift=args.drift)
     _write_report(args.out, "mg_test", report, not args.no_timestamp)
     _write_battery_csv(args.out, "mg_test_battery", report["battery"])
     _print_battery("own-filtration battery", report["battery"])
-    print(f"characterization suite: {'pass' if suite.verdict else 'fail'} "
-          f"(worst |z| = {max(abs(c.z) for c in suite.checks):.2f})")
-    return EXIT_PASS if battery.verdict and suite.verdict else EXIT_STAT_FAIL
+    suite = report["characterization"]
+    print(f"characterization suite: {suite['verdict']} "
+          f"(worst |z| = {max(abs(c['z']) for c in suite['checks']):.2f})")
+    ok = report["battery"]["verdict"] == "pass" and suite["verdict"] == "pass"
+    return EXIT_PASS if ok else EXIT_STAT_FAIL
 
 
 def cmd_levy_demo(args) -> int:

@@ -113,10 +113,6 @@ class DecomposedProcess:
     def __post_init__(self):
         _check_additivity(self.original, self.fv_part, self.martingale_part)
 
-    @property
-    def n_paths(self) -> int:
-        return self.original.shape[0]
-
     def additivity_gap(self) -> float:
         return _additivity_gap(self.original, self.fv_part, self.martingale_part)[0]
 
@@ -158,7 +154,7 @@ def _check_gaps(parts: list[tuple[float, float]]) -> None:
         raise EnlargementError(f"decomposition does not add up (gap {gap:g})")
 
 
-def realize_X(spec: EnlargementSpec, values: np.ndarray, times: np.ndarray | None = None) -> np.ndarray:
+def realize_X(spec: EnlargementSpec, values: np.ndarray) -> np.ndarray:
     """Itô-sum value of ∫ φ dW over the path's full support, per path.
 
     Σ_{i<n} φ(t_i)(W_{i+1} − W_i) is summed by parts into one weighted sum
@@ -167,7 +163,7 @@ def realize_X(spec: EnlargementSpec, values: np.ndarray, times: np.ndarray | Non
     is exactly the terminal value.  It runs on one thread: the sum is one
     BLAS matvec, which OpenBLAS already threads.
     """
-    times = spec.grid.nodes if times is None else times
+    times = spec.grid.nodes
     if not math.isfinite(spec.phi.support_end):
         raise EnlargementError("cannot realize X: integrand support is unbounded, path is finite")
     if times[-1] < spec.phi.support_end - spec.epsilon_exclusion - 1e-15:
@@ -263,6 +259,14 @@ class NonIntegrableError(RuntimeError):
     """Path-by-path Stieltjes sum failed the existence guard."""
 
 
+def check_stieltjes_guard(stieltjes: np.ndarray) -> None:
+    """Raises :class:`NonIntegrableError` unless every per-path Σ|h||ΔA|
+    is finite and within ``STIELTJES_GUARD``."""
+    over = int(np.count_nonzero(~(stieltjes <= STIELTJES_GUARD)))
+    if over:
+        raise NonIntegrableError(f"∫|H| |dA| exceeded the guard on {over} paths")
+
+
 def integrate_under_enlargement(
     H: DeterministicIntegrand,
     decomposition: DecomposedProcess,
@@ -271,11 +275,7 @@ def integrate_under_enlargement(
     t = decomposition.times
     h = np.asarray(H(t[:-1]), dtype=float)
     d_fv = np.diff(decomposition.fv_part, axis=1)
-    stieltjes = np.sum(np.abs(h) * np.abs(d_fv), axis=1)
-    if not np.all(np.isfinite(stieltjes)) or np.max(stieltjes) > STIELTJES_GUARD:
-        raise NonIntegrableError(
-            f"∫|H| |dA| exceeded the guard on {int(np.sum(~(stieltjes <= STIELTJES_GUARD)))} paths"
-        )
+    check_stieltjes_guard(np.sum(np.abs(h) * np.abs(d_fv), axis=1))
     mart = np.zeros_like(decomposition.martingale_part)
     np.cumsum(h * np.diff(decomposition.martingale_part, axis=1), axis=1, out=mart[:, 1:])
     fv = np.zeros_like(decomposition.fv_part)
@@ -345,19 +345,6 @@ class SlopeReport:
         if self.se > 0:
             return gap / self.se
         return 0.0 if abs(gap) < 1e-9 else math.inf
-
-
-def symmetry_identity_check(
-    ensemble: PathEnsemble, s: float, t: float, pin_time: float = 1.0
-) -> SlopeReport:
-    """Least-squares slope of (W_t − W_s) on (W_T − W_s): should equal
-    (t − s)/(T − s) when the path is pinned at T."""
-    if t <= s:
-        raise ValueError("need s < t")
-    ws = ensemble.at_time(s)
-    m = Moments(2, cross=True)
-    m.update(np.stack((ensemble.values[:, -1] - ws, ensemble.at_time(t) - ws)))
-    return SlopeReport.through_origin(m, s, t, (t - s) / (pin_time - s))
 
 
 def drift_magnitude_weights(times: np.ndarray, pin_time: float = 1.0) -> np.ndarray:

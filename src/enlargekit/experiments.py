@@ -20,9 +20,8 @@ from .enlargement import (
     EnlargementSpec,
     SlopeReport,
     abs_drift_integral_paths,
-    compensate_brownian,
+    check_stieltjes_guard,
     drift_compensator,
-    integrate_under_enlargement,
     levy_bridge_compensator,
     realize_X,
 )
@@ -36,14 +35,16 @@ from .mgtests import (
     DEFAULT_THRESHOLD,
     PROBE_CAUCHY_TOL,
     BasisFunction,
+    CharacterizationAccumulator,
     IncrementRegressionAccumulator,
     JeulinProbeAccumulator,
+    LookaheadPredictabilityError,
     Moments,
     QVAccumulator,
     columns_at,
+    correlation,
     default_basis,
     info_minus_state_basis,
-    non_integrator_demo,
     probe_log_divergent,
     probe_power_quarter,
 )
@@ -51,11 +52,14 @@ from .paths import (
     JumpSampler,
     PathEnsemble,
     SeedSpec,
+    row_slices,
     simulate_brownian,
     simulate_compound_poisson,
 )
 
 BLOCK = 16384
+# path values in a look-ahead block: those of a bridge block at 1024 base steps (1035 nodes)
+BLOCK_VALUES = BLOCK * 1035
 DEFAULT_PAIRS = ((0.25, 0.5), (0.5, 0.75), (0.25, 0.9))
 ABS_DRIFT_CONSTANT = 2.0 * math.sqrt(2.0 / math.pi)  # limit of E∫|drift|, pinned unit bridge
 
@@ -128,11 +132,6 @@ class _Compensation:
         """W̃ at the nodes of ``cols`` (the columns of ``values`` there)."""
         fv = columns_at(self.fv, self.spec.grid.nodes, list(cols))
         return {u: w - fv[u] for u, w in cols.items()}
-
-
-def _corr(m: Moments) -> float:
-    """Pearson correlation of the two statistics of a cross ``Moments(2)``."""
-    return float(m.m2[0, 1] / math.sqrt(m.m2[0, 0] * m.m2[1, 1]))
 
 
 class _SlopeAccumulator:
@@ -253,18 +252,22 @@ def run_enlargement_demo(
     blocks = stream_blocks(partial(simulate_brownian, grid, seed=seedspec), partial(realize_X, spec),
                            n_paths, block)
     _drive(blocks, consumers)
+    l2 = phi.l2_tail(0.0)
 
     report: dict = {
         "phi": phi.describe(),
         "n_paths": n_paths,
         "n_base_steps": n_base,
         "grid_nodes": grid.n_nodes,
+        # Var X on the grid, Σ φ(t_i)² Δt_i, against ∫₀^∞ φ² (null when φ ∉ L²)
+        "x_variance": {"grid": float(np.sum(np.asarray(phi(times[:-1])) ** 2 * grid.steps)),
+                       "continuous": l2 if math.isfinite(l2) else None},
         "seed": seed,
         "threshold": threshold,
         "pairs": [list(p) for p in pairs],
         "battery": battery.report(threshold, seedspec).to_dict(),
-        "pinning_corr_compensated": _corr(corr_comp),
-        "pinning_corr_raw": _corr(corr_raw),
+        "pinning_corr_compensated": correlation(corr_comp),
+        "pinning_corr_raw": correlation(corr_raw),
         "pinning_time": corr_time,
     }
     if negative is not None:
@@ -317,9 +320,11 @@ def run_section5_integral(
     threshold: float = DEFAULT_THRESHOLD,
     block: int = BLOCK,
 ) -> dict:
-    """Integrates H against the pinned-bridge decomposition and runs the
-    battery on the martingale part of H•W; also reports the worst
-    additivity gap across blocks."""
+    """Integrates H against the pinned-bridge decomposition W = W̃ + A and
+    runs the battery on H•W̃.  Per row slice, each of H•W, H•A and H•W̃ at
+    the battery nodes is one product of its own increments with the
+    left-point weights h_i·1[i < k]; the report's additivity gap is the
+    worst |H•W − (H•W̃ + H•A)| there."""
     phi = indicator(1.0)
     grid = bridge_grid(n_base, include=tuple(sorted({float(u) for p in pairs for u in p})))
     spec = EnlargementSpec(phi, grid)
@@ -327,22 +332,30 @@ def run_section5_integral(
     times = grid.nodes
     battery = IncrementRegressionAccumulator(pairs, default_basis())
     wanted = battery.times_needed
+    h = np.asarray(H(times[:-1]), dtype=float)
+    at = np.array([grid.index_of(u) for u in wanted])
+    left = np.where(np.arange(h.size)[:, None] < at, h[:, None], 0.0)
+    abs_h = np.abs(h)
+    comp = _Compensation(spec)
     worst_gap = 0.0
 
     def integrate(values: np.ndarray, x: np.ndarray) -> None:
         nonlocal worst_gap
-        dec = compensate_brownian(spec, PathEnsemble(grid, values, "brownian", seedspec), x)
-        integ = integrate_under_enlargement(H, dec)
-        worst_gap = max(worst_gap, integ.additivity_gap())
-        battery.update(
-            columns_at(integ.martingale_part, times, wanted),
-            columns_at(values, times, wanted),
-            x,
-        )
+        mart = np.empty((len(wanted), values.shape[0]))
+        for rows in row_slices(*values.shape):
+            dw = np.diff(values[rows], axis=1)
+            da = np.diff(comp.fv[rows], axis=1)
+            check_stieltjes_guard(np.abs(da) @ abs_h)
+            hw, ha = dw @ left, da @ left
+            dw -= da
+            hwt = dw @ left
+            mart[:, rows] = hwt.T
+            worst_gap = max(worst_gap, float(np.max(np.abs(hw - (hwt + ha)), initial=0.0)))
+        battery.update(dict(zip(wanted, mart)), columns_at(values, times, wanted), x)
 
     blocks = stream_blocks(partial(simulate_brownian, grid, seed=seedspec), partial(realize_X, spec),
                            n_paths, block)
-    _drive(blocks, [integrate])
+    _drive(blocks, [comp.update, integrate])
     return {
         "H": H.describe(),
         "n_paths": n_paths,
@@ -417,6 +430,39 @@ def run_levy_demo(
     }
 
 
+class _LookaheadLevel:
+    """Look-ahead integrand Hⁿ: on each dyadic interval of length 2⁻ⁿ the
+    path's increment over it, every ``stride``-th column of the finest grid.
+    Keeps the exact count of paths with sup |Hⁿ| > δ and the moments of
+    (Hⁿ•W)₁ = Σ(ΔW)² and of its square."""
+
+    def __init__(self, n: int, stride: int, delta: float):
+        self.n, self.stride, self.delta = n, stride, delta
+        self._exceed = 0
+        self._integral = Moments(2)
+
+    def update(self, values: np.ndarray, x: np.ndarray) -> None:
+        for rows in row_slices(values.shape[0], 2**self.n + 1):
+            d = np.diff(values[rows, :: self.stride], axis=1)
+            self._exceed += int(np.count_nonzero(np.max(np.abs(d), axis=1) > self.delta))
+            integral = np.sum(d * d, axis=1)
+            self._integral.update(np.stack((integral, integral * integral)))
+
+    def report(self) -> dict:
+        n, m = self.n, self._integral
+        # union bound over the 2^n intervals of the Gaussian tail of |ΔW| > δ
+        bound = (2.0 * 2**n / (2.0 ** (n / 2.0) * self.delta * math.sqrt(2.0 * math.pi))
+                 * math.exp(-0.5 * 2.0**n * self.delta**2))
+        return {
+            "level": n,
+            "sup_exceed_prob": self._exceed / m.n,
+            "sup_tail_bound": bound,
+            "integral_mean": float(m.mean[0]),
+            "integral_se": float(m.se()[0]),
+            "integral_second_moment": float(m.mean[1]),
+        }
+
+
 def run_lookahead_demo(
     epsilon: float,
     levels: Sequence[int],
@@ -425,27 +471,57 @@ def run_lookahead_demo(
     delta: float = 0.25,
 ) -> dict:
     """Elementary look-ahead integrands on dyadic grids: sup-norm collapse
-    with integral mean pinned at 1."""
+    with integral mean pinned at 1.  Before any path is drawn, each level
+    must be predictable under ``epsilon`` and one path must fit in a block."""
+    for n in levels:
+        if 2.0**-n > epsilon:
+            raise LookaheadPredictabilityError(
+                f"level {n}: interval 2^-{n} exceeds the look-ahead margin {epsilon}"
+            )
     n_max = max(levels)
+    if 2**n_max + 1 > BLOCK_VALUES:
+        raise ValueError(f"level {n_max}: a path of 2^{n_max} + 1 nodes exceeds a block of "
+                         f"{BLOCK_VALUES} values")
     grid = build_grid(1.0, 2**n_max)
-    ens = simulate_brownian(grid, n_paths, SeedSpec(seed))
-    rep = non_integrator_demo(ens.values, grid.nodes, epsilon, levels, delta)
+    accs = [_LookaheadLevel(n, 2 ** (n_max - n), delta) for n in levels]
+    rows = min(BLOCK, BLOCK_VALUES // grid.n_nodes)
+    blocks = stream_blocks(partial(simulate_brownian, grid, seed=SeedSpec(seed)), _terminal_value,
+                           n_paths, rows)
+    _drive(blocks, [acc.update for acc in accs])
     return {
         "epsilon": epsilon,
         "delta": delta,
         "n_paths": n_paths,
         "seed": seed,
-        "levels": [
-            {
-                "level": l.level,
-                "sup_exceed_prob": l.sup_exceed_prob,
-                "sup_tail_bound": l.sup_tail_bound,
-                "integral_mean": l.integral_mean,
-                "integral_se": l.integral_se,
-                "integral_second_moment": l.integral_second_moment,
-            }
-            for l in rep.levels
-        ],
+        "levels": [acc.report() for acc in accs],
+    }
+
+
+def run_mg_test(drift: float, n_paths: int, n_base: int, seed: int, threshold: float) -> dict:
+    """The own-filtration battery and the Brownian characterization suite
+    on W_t + drift·t over a uniform grid on [0, 1].  The drift is added to
+    each block in place before anything reads it."""
+    grid = build_grid(1.0, n_base)
+    times = grid.nodes
+    seedspec = SeedSpec(seed)
+    battery = IncrementRegressionAccumulator(((0.25, 0.5), (0.5, 0.75)), default_basis()[:2])  # {1, W_s}
+    wanted = battery.times_needed
+    suite = CharacterizationAccumulator(times)
+
+    def certify(values: np.ndarray, x: np.ndarray) -> None:
+        if drift:
+            values += drift * times
+        cols = columns_at(values, times, wanted)
+        battery.update(cols, cols, x)
+        suite.update(values)
+
+    blocks = stream_blocks(partial(simulate_brownian, grid, seed=seedspec), lambda v: np.zeros(len(v)),
+                           n_paths)
+    _drive(blocks, [certify])
+    return {
+        "seed": seed,
+        "battery": battery.report(threshold, seedspec).to_dict(),
+        "characterization": suite.report(threshold),
     }
 
 

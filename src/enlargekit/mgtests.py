@@ -8,8 +8,8 @@ comes with an exact standard error.  A battery passes when every z-score
 clears the (Bonferroni-corrected) threshold.
 
 Also here: quadratic-variation checks, a moment-based Brownian
-characterization suite, the look-ahead non-integrator demonstration, and
-an empirical two-sided probe of the almost-sure equivalence
+characterization suite, the look-ahead predictability check, and an
+empirical two-sided probe of the almost-sure equivalence
 {∫ R_s A_s ds < ∞} = {∫ A_s ds < ∞} for R_s standard half-normal and
 independent of the time-s past.
 """
@@ -77,6 +77,43 @@ class Moments:
         """Standard error of each mean, from the n − 1 sample variance."""
         m2 = np.diagonal(self.m2) if self.cross else self.m2
         return np.sqrt(m2 / max(self.n - 1, 1) / self.n)
+
+
+def correlation(m: Moments) -> float:
+    """Pearson correlation of the two statistics of a cross ``Moments(2)``."""
+    return float(m.m2[0, 1] / math.sqrt(m.m2[0, 0] * m.m2[1, 1]))
+
+
+class ShiftedPowerSums:
+    """Count, mean and centred sums of powers 2–4 of one statistic, from
+    the sums of (x − c)^p about a shift c fixed from the first block.
+
+    With c inside the data these sums cancel no further than the spread
+    about c; sums about 0 lose every digit of the skewness once the mean
+    dwarfs the spread.  Merged centred blocks would lose them too: a mean
+    near 1e8 is rounded to 1.5e-8, which moves Σ(x − x̄)³ by 3·1.5e-8·Σ(x − x̄)²."""
+
+    def __init__(self):
+        self.shift: float | None = None
+        self.sums = np.zeros(5)  # Σ(x − c)^p for p = 0..4
+
+    def update(self, x: np.ndarray) -> None:
+        if x.size == 0:
+            return
+        if self.shift is None:
+            self.shift = float(np.mean(x))
+        d = x - self.shift
+        d2 = d * d
+        self.sums += (d.size, d.sum(), d2.sum(), np.einsum("i,i->", d2, d), np.einsum("i,i->", d2, d2))
+
+    def central(self) -> tuple[int, float, float, float, float]:
+        """n, the mean, and Σ(x − x̄)^p for p = 2, 3, 4."""
+        n, s1, s2, s3, s4 = self.sums.tolist()
+        a = s1 / n  # x̄ − c
+        m2 = s2 - a * s1
+        m3 = s3 - 3.0 * a * s2 + 2.0 * a * a * s1
+        m4 = s4 - 4.0 * a * s3 + 6.0 * a * a * s2 - 3.0 * a**3 * s1
+        return int(n), self.shift + a, m2, m3, m4
 
 
 @dataclass(frozen=True)
@@ -273,57 +310,46 @@ class QVAccumulator:
 # moment-based Brownian characterization
 
 
-@dataclass(frozen=True)
-class SuiteCheck:
-    name: str
-    statistic: float
-    z: float
-
-
-@dataclass(frozen=True)
-class CharacterizationReport:
-    checks: tuple[SuiteCheck, ...]
-    threshold: float
-    n_increments: int
-
-    @property
-    def verdict(self) -> bool:
-        return all(abs(c.z) <= self.threshold for c in self.checks)
-
-    def check(self, name: str) -> SuiteCheck:
-        return next(c for c in self.checks if c.name == name)
-
-
-def levy_characterization_suite(
-    values: np.ndarray,
-    times: np.ndarray,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> CharacterizationReport:
+class CharacterizationAccumulator:
     """Brownian-character checks on all grid increments, normalized by
     √Δt: mean 0, variance 1, no skew, no excess kurtosis, and no
-    correlation between consecutive disjoint increments."""
-    values = np.atleast_2d(values)
-    if np.any(values[:, 0] != 0.0):
-        raise ValueError("process must start at 0")
-    z = np.diff(values, axis=1) / np.sqrt(np.diff(times))
-    flat = z.ravel()
-    n = flat.size
-    mean = float(np.mean(flat))
-    var = float(np.var(flat, ddof=1))
-    sd = math.sqrt(var)
-    std = (flat - mean) / sd
-    skew = float(np.mean(std**3))
-    kurt = float(np.mean(std**4) - 3.0)
-    a, b = z[:, :-1].ravel(), z[:, 1:].ravel()
-    r = float(np.corrcoef(a, b)[0, 1])
-    checks = (
-        SuiteCheck("increment_mean", mean, mean / (sd / math.sqrt(n))),
-        SuiteCheck("increment_variance", var, (var - 1.0) / math.sqrt(2.0 / (n - 1))),
-        SuiteCheck("skewness", skew, skew / math.sqrt(6.0 / n)),
-        SuiteCheck("excess_kurtosis", kurt, kurt / math.sqrt(24.0 / n)),
-        SuiteCheck("disjoint_increment_corr", r, r * math.sqrt(a.size)),
-    )
-    return CharacterizationReport(checks, threshold, n)
+    correlation between consecutive disjoint increments.  Each block is
+    read one row slice at a time."""
+
+    def __init__(self, times: np.ndarray):
+        self._sqrt_dt = np.sqrt(np.diff(times))
+        self._z = ShiftedPowerSums()
+        self._lag = Moments(2, cross=True)
+
+    def update(self, values: np.ndarray) -> None:
+        if np.any(values[:, 0] != 0.0):
+            raise ValueError("process must start at 0")
+        for rows in row_slices(*values.shape):
+            z = np.diff(values[rows], axis=1)
+            z /= self._sqrt_dt
+            self._z.update(z.ravel())
+            self._lag.update(np.stack((z[:, :-1].ravel(), z[:, 1:].ravel())))
+
+    def report(self, threshold: float) -> dict:
+        """Each check's name, statistic and z-score, and the verdict: pass
+        when every |z| is within ``threshold``."""
+        n, mean, m2, m3, m4 = self._z.central()
+        var = m2 / (n - 1)
+        sd = math.sqrt(var)
+        skew = m3 / n / sd**3
+        kurt = m4 / n / sd**4 - 3.0
+        r = correlation(self._lag)
+        checks = [
+            {"name": name, "statistic": statistic, "z": z} for name, statistic, z in (
+                ("increment_mean", mean, mean / (sd / math.sqrt(n))),
+                ("increment_variance", var, (var - 1.0) / math.sqrt(2.0 / (n - 1))),
+                ("skewness", skew, skew / math.sqrt(6.0 / n)),
+                ("excess_kurtosis", kurt, kurt / math.sqrt(24.0 / n)),
+                ("disjoint_increment_corr", r, r * math.sqrt(self._lag.n)),
+            )
+        ]
+        passed = all(abs(c["z"]) <= threshold for c in checks)
+        return {"checks": checks, "verdict": "pass" if passed else "fail"}
 
 
 # ---------------------------------------------------------------------------
@@ -332,64 +358,6 @@ def levy_characterization_suite(
 
 class LookaheadPredictabilityError(ValueError):
     """Dyadic level too fine for the declared look-ahead margin."""
-
-
-@dataclass(frozen=True)
-class LookaheadLevel:
-    level: int
-    sup_exceed_prob: float
-    sup_tail_bound: float
-    integral_mean: float
-    integral_se: float
-    integral_second_moment: float
-
-
-@dataclass(frozen=True)
-class LookaheadReport:
-    epsilon: float
-    delta: float
-    levels: tuple[LookaheadLevel, ...]
-    n_paths: int
-
-
-def non_integrator_demo(
-    values: np.ndarray,
-    times: np.ndarray,
-    epsilon: float,
-    levels: Sequence[int],
-    delta: float = 0.25,
-) -> LookaheadReport:
-    """Elementary look-ahead integrands on dyadic intervals: each holds
-    the increment of the path over its own interval, which a filtration
-    shifted forward by ``epsilon`` sees in advance.
-
-    Per level n: the distribution of sup_t |H^n_t| collapses (Gaussian
-    tail bound reported alongside), yet the integral (H^n•W)_1 stays at
-    mean 1: the signature of a non-integrator.
-    """
-    values = np.atleast_2d(values)
-    out = []
-    for n in levels:
-        if 2.0**-n > epsilon:
-            raise LookaheadPredictabilityError(
-                f"level {n}: interval 2^-{n} exceeds the look-ahead margin {epsilon}"
-            )
-        k = 2**n
-        idx = [int(np.argmin(np.abs(times - (j / k)))) for j in range(k + 1)]
-        node_times = times[idx]
-        if np.max(np.abs(node_times - np.linspace(0.0, 1.0, k + 1))) > 1e-12:
-            raise ValueError(f"grid does not contain the dyadic level-{n} nodes")
-        d = np.diff(values[:, idx], axis=1)
-        sup = np.max(np.abs(d), axis=1)
-        p_hat = float(np.mean(sup > delta))
-        bound = (k * 2.0) / (2.0 ** (n / 2.0) * delta * math.sqrt(2.0 * math.pi)) * math.exp(
-            -0.5 * 2.0**n * delta**2
-        )
-        integral = np.sum(d * d, axis=1)
-        m = float(np.mean(integral))
-        se = float(np.std(integral, ddof=1) / math.sqrt(integral.size))
-        out.append(LookaheadLevel(n, p_hat, bound, m, se, float(np.mean(integral**2))))
-    return LookaheadReport(float(epsilon), float(delta), tuple(out), values.shape[0])
 
 
 # ---------------------------------------------------------------------------

@@ -153,13 +153,6 @@ class PathEnsemble:
     def n_paths(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.nodes
-
-    def at_time(self, t: float) -> np.ndarray:
-        return self.values[:, self.grid.index_of(t)]
-
 
 class _Rekeyed:
     """Fast per-path generator reuse.
@@ -236,11 +229,10 @@ class JumpSampler:
     name: str
     draw: Callable[[np.random.Generator, int], np.ndarray] = field(compare=False)
     mean: float = 0.0
-    second_moment: float = 0.0
 
 
 def constant_jumps(c: float) -> JumpSampler:
-    return JumpSampler(f"const:{c}", lambda rng, k: np.full(k, float(c)), float(c), float(c) ** 2)
+    return JumpSampler(f"const:{c}", lambda rng, k: np.full(k, float(c)), float(c))
 
 
 _PM1 = np.array((-1.0, 1.0))
@@ -249,7 +241,7 @@ _PM1 = np.array((-1.0, 1.0))
 def rademacher_jumps() -> JumpSampler:
     # the same values and stream position as rng.choice((-1.0, 1.0), size=k),
     # without choice's per-call overhead
-    return JumpSampler("pm1", lambda rng, k: _PM1[rng.integers(0, 2, size=k)], 0.0, 1.0)
+    return JumpSampler("pm1", lambda rng, k: _PM1[rng.integers(0, 2, size=k)], 0.0)
 
 
 def normal_jumps(mu: float = 0.0, sigma: float = 1.0) -> JumpSampler:
@@ -257,7 +249,6 @@ def normal_jumps(mu: float = 0.0, sigma: float = 1.0) -> JumpSampler:
         f"normal:mu={mu},sigma={sigma}",
         lambda rng, k: mu + sigma * rng.standard_normal(k),
         float(mu),
-        float(mu) ** 2 + float(sigma) ** 2,
     )
 
 

@@ -86,6 +86,7 @@ BAD_EPSILON = [
     ["drift-sim", "--phi", "linear:T=nan", "--paths", "100", "--steps", "16"],
     *NOT_POSITIVE,
     ["levy-demo", "--rate", "1e12", "--paths", "10", "--steps", "16"],
+    ["lookahead-demo", "--levels", "8,25", "--paths", "10000"],
     *BAD_EPSILON,
 ])
 def test_bad_input_is_a_config_error_before_any_work(argv, capsys):

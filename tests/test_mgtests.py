@@ -6,18 +6,19 @@ import pytest
 from enlargekit.grid import build_grid
 from enlargekit.mgtests import (
     BasisFunction,
+    CharacterizationAccumulator,
     JeulinProbeAccumulator,
     LookaheadPredictabilityError,
     Moments,
     ProbeIntegrand,
     QVAccumulator,
+    ShiftedPowerSums,
     increment_regression_test,
     info_minus_state_basis,
-    levy_characterization_suite,
-    non_integrator_demo,
     probe_log_divergent,
     probe_power_quarter,
 )
+from enlargekit.experiments import run_lookahead_demo
 from enlargekit.paths import SeedSpec, simulate_brownian
 
 
@@ -130,32 +131,66 @@ def test_quadratic_variation_of_brownian():
     assert _qv(np.zeros((10, grid.n_nodes)), grid, 1.0, expected=0.0).mean == 0.0
 
 
+def _characterization(values, times):
+    acc = CharacterizationAccumulator(times)
+    for lo in range(0, values.shape[0], 16384):  # as the engine's blocks
+        acc.update(values[lo:lo + 16384])
+    return acc.report(4.0)
+
+
 def test_characterization_suite_accepts_brownian_rejects_drift():
     grid = build_grid(1.0, 256)
     ens = simulate_brownian(grid, 50_000, SeedSpec(123))
-    assert levy_characterization_suite(ens.values, grid.nodes).verdict
+    assert _characterization(ens.values, grid.nodes)["verdict"] == "pass"
     drifted = ens.values + 0.5 * grid.nodes
-    rep = levy_characterization_suite(drifted, grid.nodes)
-    assert not rep.verdict
-    assert abs(rep.check("increment_mean").z) > 4
+    rep = _characterization(drifted, grid.nodes)
+    assert rep["verdict"] == "fail"
+    assert abs(next(c["z"] for c in rep["checks"] if c["name"] == "increment_mean")) > 4
 
 
 def test_characterization_requires_zero_start():
     grid = build_grid(1.0, 8)
     with pytest.raises(ValueError):
-        levy_characterization_suite(np.ones((5, grid.n_nodes)), grid.nodes)
+        _characterization(np.ones((5, grid.n_nodes)), grid.nodes)
+
+
+@pytest.mark.parametrize("block", [1, 7, 10_000])
+def test_higher_moments_survive_a_shifted_constant(block):
+    # 1e8 + N(0,1): x - 1e8 is exact, and skewness and kurtosis do not see
+    # the shift, so two-pass numpy on it is the truth for the raw data
+    n = 10_000
+    x = 1e8 + np.random.default_rng(5).standard_normal(n)
+    y = x - 1e8
+    d = y - y.mean()
+    var = float(np.var(y, ddof=1))
+    skew = float(np.mean(d**3)) / var**1.5
+    kurt = float(np.mean(d**4)) / var**2
+
+    sums = ShiftedPowerSums()
+    for i in range(0, n, block):
+        sums.update(x[i:i + block])
+    count, mean, m2, m3, m4 = sums.central()
+    got_var = m2 / (n - 1)
+    assert count == n
+    assert abs(mean - x.mean()) <= 1e-15 * 1e8
+    assert abs(got_var - var) <= 1e-9 * var
+    assert abs(m3 / n / got_var**1.5 - skew) <= 1e-9 * abs(skew)
+    assert abs(m4 / n / got_var**2 - kurt) <= 1e-9 * kurt
+
+    # power sums about 0 lose every digit of the same statistics
+    raw = [float(np.sum(x**p)) / n for p in (1, 2, 3)]
+    raw_m3 = raw[2] - 3.0 * raw[0] * raw[1] + 2.0 * raw[0] ** 3
+    assert not abs(raw_m3 / var**1.5 - skew) <= 1e-9 * abs(skew)
 
 
 def test_lookahead_demo_levels_and_precondition():
-    grid = build_grid(1.0, 1024)
-    ens = simulate_brownian(grid, 4000, SeedSpec(2))
-    rep = non_integrator_demo(ens.values, grid.nodes, 2.0**-6, [8, 10], delta=0.25)
-    for lv in rep.levels:
-        assert abs(lv.integral_mean - 1.0) <= 4.0 * lv.integral_se
-        assert lv.sup_exceed_prob <= lv.sup_tail_bound + 3.0 / 4000
-    assert rep.levels[0].sup_exceed_prob >= rep.levels[1].sup_exceed_prob
+    rep = run_lookahead_demo(2.0**-6, [8, 10], 4000, 2, delta=0.25)
+    for lv in rep["levels"]:
+        assert abs(lv["integral_mean"] - 1.0) <= 4.0 * lv["integral_se"]
+        assert lv["sup_exceed_prob"] <= lv["sup_tail_bound"] + 3.0 / 4000
+    assert rep["levels"][0]["sup_exceed_prob"] >= rep["levels"][1]["sup_exceed_prob"]
     with pytest.raises(LookaheadPredictabilityError):
-        non_integrator_demo(ens.values, grid.nodes, 2.0**-6, [5])
+        run_lookahead_demo(2.0**-6, [5], 4000, 2)
 
 
 def _probe(A, values, grid, rungs, ceiling):

@@ -1,6 +1,7 @@
 """The streamed block engine against the library path, across blockings,
 and within its memory budget."""
 
+import inspect
 import math
 import tracemalloc
 from functools import partial
@@ -8,24 +9,34 @@ from functools import partial
 import numpy as np
 import pytest
 
+from enlargekit import experiments
+from enlargekit.cli import EXIT_PASS, EXIT_STAT_FAIL, main
 from enlargekit.enlargement import (
     EnlargementSpec,
+    NonIntegrableError,
     compensate_brownian,
     drift_magnitude_weights,
+    integrate_under_enlargement,
+    realize_X,
 )
 from enlargekit.experiments import (
+    BLOCK,
     DEFAULT_PAIRS,
     bridge_grid,
     run_bridge_demo,
     run_enlargement_demo,
+    run_lookahead_demo,
+    run_mg_test,
+    run_section5_integral,
     stream_blocks,
 )
-from enlargekit.integrands import parse_integrand, running_mean
+from enlargekit.integrands import constant, indicator, parse_integrand, running_mean, tabulated
 from enlargekit.mgtests import (
     default_basis,
     increment_regression_test,
     info_minus_state_basis,
 )
+from enlargekit.grid import build_grid
 from enlargekit.paths import SeedSpec, rademacher_jumps, simulate_brownian, simulate_compound_poisson
 
 SEED = 777
@@ -176,3 +187,121 @@ def test_streamed_bridge_stays_within_three_block_matrices():
         tracemalloc.stop()
     block_bytes = 4096 * report["grid_nodes"] * 8
     assert peak < 3 * block_bytes, f"peak {peak / block_bytes:.2f} block matrices"
+
+
+S5_PAIRS = ((0.25, 0.5), (0.5, 0.75))
+S5_H = tabulated([0.0, 1.0], [0.0, 1.0])
+
+
+def _section5_reference(n_paths, n_base, seed):
+    """Section 5 on full path matrices: the library's decomposition of W,
+    H integrated against both of its parts, one battery on H•W̃."""
+    grid = bridge_grid(n_base, include=(0.25, 0.5, 0.75))
+    spec = EnlargementSpec(indicator(1.0), grid)
+    seeds = SeedSpec(seed)
+    ens = simulate_brownian(grid, n_paths, seeds)
+    x = realize_X(spec, ens.values)
+    integral = integrate_under_enlargement(S5_H, compensate_brownian(spec, ens, x))
+    return increment_regression_test(integral.martingale_part, grid.nodes, x, S5_PAIRS,
+                                     cond_values=ens.values, seeds=seeds).to_dict()
+
+
+@pytest.mark.parametrize("block", [4096, 10_000])
+def test_section5_matches_full_matrix_reference(block):
+    got = run_section5_integral(10_000, 128, SEED, S5_H, S5_PAIRS, block=block)
+    _assert_close(got["battery"], _section5_reference(10_000, 128, SEED))
+    assert 0.0 < got["additivity_gap"] <= 1e-12  # summed from separate increments, so not 0 by construction
+
+
+def test_section5_huge_integrand_is_not_integrable():
+    with pytest.raises(NonIntegrableError):
+        run_section5_integral(100, 16, SEED, constant(1e20, 2.0))
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_section5_stays_within_three_block_matrices():
+    peak = _peak_bytes(lambda: run_section5_integral(BLOCK, 256, SEED, S5_H))
+    block_bytes = BLOCK * bridge_grid(256, include=(0.25, 0.5, 0.75)).n_nodes * 8
+    assert peak < 3 * block_bytes, f"peak {peak / block_bytes:.2f} block matrices"
+
+
+def test_streamed_mg_test_stays_within_three_block_matrices():
+    peak = _peak_bytes(lambda: run_mg_test(0.5, BLOCK, 256, SEED, 4.0))
+    block_bytes = BLOCK * 257 * 8
+    assert peak < 3 * block_bytes, f"peak {peak / block_bytes:.2f} block matrices"
+
+
+def test_streamed_lookahead_stays_within_two_block_matrices():
+    peak = _peak_bytes(lambda: run_lookahead_demo(2.0**-6, [8, 10], 4000, SEED))
+    block_bytes = 4000 * 1025 * 8
+    assert peak < 2 * block_bytes, f"peak {peak / block_bytes:.2f} block matrices"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bridge-demo", "--steps", "16"],
+    ["drift-sim", "--steps", "16"],
+    ["levy-demo", "--steps", "16"],
+    ["jeulin-probe", "--case", "finite"],
+    ["mg-test", "--steps", "16"],
+    ["lookahead-demo", "--levels", "1,2", "--epsilon", "0.5"],
+])
+def test_no_command_simulates_more_than_a_block(argv, monkeypatch):
+    asked = []
+    for name in ("simulate_brownian", "simulate_compound_poisson"):
+        real = getattr(experiments, name)
+
+        def counting(*args, _real=real, _signature=inspect.signature(real), **kwargs):
+            asked.append(_signature.bind(*args, **kwargs).arguments["n_paths"])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counting)
+    assert main(argv + ["--paths", str(BLOCK + 1), "--seed", "5"]) in (EXIT_PASS, EXIT_STAT_FAIL)
+    assert sum(asked) == BLOCK + 1 and max(asked) <= BLOCK, asked
+
+
+def test_mg_test_matches_whole_ensemble_reference():
+    # the characterization as two-pass numpy over every increment at once
+    got = run_mg_test(0.5, 3000, 256, SEED, 4.0)
+    grid = build_grid(1.0, 256)
+    w = simulate_brownian(grid, 3000, SeedSpec(SEED)).values + 0.5 * grid.nodes
+    z = np.diff(w, axis=1) / np.sqrt(grid.steps)
+    flat = z.ravel()
+    n, mean, var = flat.size, float(flat.mean()), float(flat.var(ddof=1))
+    std = (flat - mean) / math.sqrt(var)
+    skew, kurt = float(np.mean(std**3)), float(np.mean(std**4)) - 3.0
+    r = float(np.corrcoef(z[:, :-1].ravel(), z[:, 1:].ravel())[0, 1])
+    want = [
+        ("increment_mean", mean, mean / math.sqrt(var / n)),
+        ("increment_variance", var, (var - 1.0) / math.sqrt(2.0 / (n - 1))),
+        ("skewness", skew, skew / math.sqrt(6.0 / n)),
+        ("excess_kurtosis", kurt, kurt / math.sqrt(24.0 / n)),
+        ("disjoint_increment_corr", r, r * math.sqrt(z[:, 1:].size)),
+    ]
+    _assert_close(got["characterization"]["checks"],
+                  [{"name": name, "statistic": s, "z": zz} for name, s, zz in want])
+    basis = default_basis()[:2]
+    battery = increment_regression_test(w, grid.nodes, np.zeros(3000), ((0.25, 0.5), (0.5, 0.75)), basis,
+                                        seeds=SeedSpec(SEED))
+    _assert_close(got["battery"], battery.to_dict())
+
+
+def test_lookahead_matches_whole_ensemble_reference():
+    got = run_lookahead_demo(2.0**-6, [6, 8], 2000, SEED)
+    w = simulate_brownian(build_grid(1.0, 2**8), 2000, SeedSpec(SEED)).values
+    for level, stride in zip(got["levels"], (4, 1)):
+        d = np.diff(w[:, ::stride], axis=1)
+        integral = np.sum(d * d, axis=1)
+        assert level["sup_exceed_prob"] == float(np.mean(np.max(np.abs(d), axis=1) > 0.25))
+        _assert_close({k: level[k] for k in ("integral_mean", "integral_se", "integral_second_moment")}, {
+            "integral_mean": float(integral.mean()),
+            "integral_se": float(integral.std(ddof=1)) / math.sqrt(2000),
+            "integral_second_moment": float(np.mean(integral**2)),
+        })
