@@ -37,6 +37,10 @@ NOT_DEFINED = "NOT_DEFINED"
 DEFAULT_RUNGS = 40
 # the geometric-decay test reads the last 7 increments
 MIN_RUNGS = 7
+# ε_k = T·2^−(k+1) and T − ε_k is rounded to half an ulp of T, at most
+# 2^−53·T, so the deepest strip's edge is off by up to 2^(k−52) of ε_k:
+# up to this many rungs that is at most 2^−10.
+MAX_RUNGS = np.finfo(float).nmant - 10
 DEFAULT_CEILING = 1e6
 # |fitted decay exponent - 1| below this margin is not decidable numerically
 EXPONENT_MARGIN = 0.04
@@ -83,8 +87,8 @@ def improper_endpoint_integral(
     partial sums past ``DEFAULT_CEILING`` read as divergence."""
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"horizon T must be positive and finite, got {T!r}")
-    if max_rungs < MIN_RUNGS:
-        raise ValueError(f"need at least {MIN_RUNGS} rungs, got {max_rungs}")
+    if not MIN_RUNGS <= max_rungs <= MAX_RUNGS:
+        raise ValueError(f"need {MIN_RUNGS} to {MAX_RUNGS} rungs, got {max_rungs}")
     eps0 = T / 2.0
     eps = eps0 * 2.0 ** -np.arange(0, max_rungs + 1)
     head, _ = quad(f, 0.0, T - eps0, epsabs=1e-13, epsrel=1e-11, limit=300)

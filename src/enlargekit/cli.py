@@ -28,7 +28,7 @@ import numpy as np
 
 from . import experiments, finitelab
 from .integrands import jeulin_yor, parse_integrand
-from .classifier import SEMIMARTINGALE, UNDECIDED, classify
+from .classifier import MAX_RUNGS, MIN_RUNGS, SEMIMARTINGALE, UNDECIDED, classify
 from .enlargement import RefusedNonSemimartingaleError
 from .paths import parse_jump_sampler
 
@@ -70,6 +70,14 @@ def _positive_int(text: str) -> int:
         n = 0
     if n < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return n
+
+
+def _rung_count(text: str) -> int:
+    """argparse type: a ladder depth the classifier can resolve."""
+    n = _positive_int(text)
+    if not MIN_RUNGS <= n <= MAX_RUNGS:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rung count from {MIN_RUNGS} to {MAX_RUNGS}")
     return n
 
 
@@ -193,8 +201,7 @@ def cmd_bridge_demo(args) -> int:
 def cmd_drift_sim(args) -> int:
     phi = parse_integrand(args.phi)
     report = experiments.run_enlargement_demo(
-        phi, args.paths, args.steps, args.seed, tuple(_parse_pairs(args.pairs)),
-        args.threshold, qv_time=None,
+        phi, args.paths, args.steps, args.seed, tuple(_parse_pairs(args.pairs)), args.threshold,
     )
     report["command"] = "drift-sim"
     _write_report(args.out, "drift_sim", report, not args.no_timestamp)
@@ -343,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--alpha", type=_finite_float, default=0.75)
     q.add_argument("--T", type=_finite_float, default=1.0)
     q.add_argument("--m", default=None, help="explicit integrand spec, e.g. const:c=1,T=1")
-    q.add_argument("--rungs", type=int, default=40)
+    q.add_argument("--rungs", type=_rung_count, default=40)
     q.add_argument("--out", default=None)
     q.add_argument("--no-timestamp", action="store_true")
     q.set_defaults(fn=cmd_classify)

@@ -50,21 +50,18 @@ class RefusedNonSemimartingaleError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnlargementSpec:
-    """Recipe for enlarging the Brownian filtration by X = ∫ φ dW."""
+    """Recipe for enlarging the Brownian filtration by X = ∫ φ dW: φ must
+    be square-integrable, and the grid must end at or before the
+    information horizon, where φ's support ends."""
 
     phi: DeterministicIntegrand
     grid: TimeGrid
-    epsilon_exclusion: float | None = None
 
     def __post_init__(self):
-        # the information horizon is where φ's support ends
-        info = self.phi.support_end
-        eps = self.epsilon_exclusion
-        if eps is None:
-            eps = (info - self.grid.horizon) if math.isfinite(info) else self.grid.smallest_step
-            eps = max(eps, 0.0)
-        object.__setattr__(self, "epsilon_exclusion", float(eps))
-        if math.isfinite(info) and self.grid.horizon > info - self.epsilon_exclusion + 1e-15:
+        if not self.phi.is_square_integrable():
+            raise EnlargementError(f"{self.phi.describe()} is not square-integrable: "
+                                   "X = ∫φ dW does not exist")
+        if self.grid.horizon > self.phi.support_end + 1e-15:
             raise EnlargementError("simulation horizon runs into the information horizon")
 
     def drift_weights(self) -> np.ndarray:
@@ -91,13 +88,12 @@ class EnlargementSpec:
 
         With ΔA_i = w_i (X − m_i) and X − m_i = Σ_{j≥i} φ(t_j) ΔW_j for the
         X that :func:`realize_X` builds, each term is
-        Δt_i − 2 w_i φ(t_i) Δt_i + w_i² Σ_{j≥i} φ(t_j)² Δt_j.
+        Δt_i − 2 w_i φ(t_i) Δt_i + w_i² σ²_i, and w_i² σ²_i = w_i φ(t_i) Δt_i
+        (:meth:`drift_weights`), so it is Δt_i (1 − w_i φ(t_i)).
         """
         dt = self.grid.steps
         phi = np.asarray(self.phi(self.grid.nodes[:-1]), dtype=float)
-        w = self.drift_weights()
-        tail = np.cumsum((phi * phi * dt)[::-1])[::-1]
-        return float(np.sum((dt - 2.0 * w * phi * dt + w * w * tail)[:k]))
+        return float(np.sum((dt * (1.0 - self.drift_weights() * phi))[:k]))
 
 
 @dataclass(frozen=True)
@@ -166,8 +162,6 @@ def realize_X(spec: EnlargementSpec, values: np.ndarray) -> np.ndarray:
     times = spec.grid.nodes
     if not math.isfinite(spec.phi.support_end):
         raise EnlargementError("cannot realize X: integrand support is unbounded, path is finite")
-    if times[-1] < spec.phi.support_end - spec.epsilon_exclusion - 1e-15:
-        raise EnlargementError("path does not cover the integrand support")
     phi = np.asarray(spec.phi(times[:-1]), dtype=float)
     c = -np.diff(np.concatenate(([0.0], phi, [0.0])))
     return np.asarray(values, dtype=float) @ c

@@ -2,17 +2,17 @@
 pipelines, shared between the command-line tool and the acceptance
 suite.
 
-Large ensembles are processed in fixed-size path blocks (per-path random
-substreams make the result independent of blocking), and every consumer
-is a streaming accumulator, so nothing close to the full
-(paths × nodes × processes) tensor ever exists at once.
+Large ensembles are processed in path blocks of bounded size, rows and
+values alike (per-path random substreams make the result independent of
+blocking), and every consumer is a streaming accumulator, so nothing
+close to the full (paths × nodes × processes) tensor ever exists at once.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,10 +57,12 @@ from .paths import (
     simulate_compound_poisson,
 )
 
+# A block holds at most BLOCK paths and BLOCK_VALUES path values: those of
+# a bridge block at 1024 base steps (1035 nodes).
 BLOCK = 16384
-# path values in a look-ahead block: those of a bridge block at 1024 base steps (1035 nodes)
 BLOCK_VALUES = BLOCK * 1035
 DEFAULT_PAIRS = ((0.25, 0.5), (0.5, 0.75), (0.25, 0.9))
+QV_TIME = 0.9
 ABS_DRIFT_CONSTANT = 2.0 * math.sqrt(2.0 / math.pi)  # limit of E∫|drift|, pinned unit bridge
 
 Consumer = Callable[[np.ndarray, np.ndarray], None]
@@ -80,37 +82,46 @@ def bridge_grid(
     )
 
 
+def block_rows(n_nodes: int) -> int:
+    """Paths per block on ``n_nodes`` nodes: ``BLOCK``, or fewer so that a
+    block holds at most ``BLOCK_VALUES`` path values (both read at call
+    time).  Raises ValueError when one path alone exceeds that budget; a
+    driver calls it with a lower bound on its node count before it builds
+    the grid."""
+    if n_nodes > BLOCK_VALUES:
+        raise ValueError(f"a path of {n_nodes} nodes exceeds a block of {BLOCK_VALUES} values")
+    return min(BLOCK, BLOCK_VALUES // n_nodes)
+
+
 def stream_blocks(
+    grid: TimeGrid,
     simulate: Callable[..., PathEnsemble],
     realize: Callable[[np.ndarray], np.ndarray],
     n_paths: int,
-    block: int = BLOCK,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Consecutive path blocks as ``(first_path, values, x)``.
+    consumers: Sequence[Consumer],
+) -> None:
+    """Feeds ``n_paths`` paths on ``grid`` to every consumer, in order, one
+    block of :func:`block_rows` paths at a time.
 
-    ``simulate(take, first_path_index=first, out=buf)`` produces paths
-    first .. first+take−1 and ``realize(values)`` their information
-    variable.  Every block after the first is simulated into the first
-    block's value matrix, so one buffer serves the whole run: a consumer
-    must not keep ``values`` or ``x`` past the block it was handed.
+    ``simulate(grid, n_paths=take, first_path_index=first, out=buf)``
+    produces paths first .. first+take−1 and ``realize(values)`` their
+    information variable.  Every block after the first is simulated into
+    the first block's value matrix, so one buffer serves the whole run: a
+    consumer must not keep ``values`` or ``x`` past the block it was
+    handed.
     """
-    buf = None
-    for first in range(0, n_paths, block):
-        values = simulate(min(block, n_paths - first), first_path_index=first, out=buf).values
+    rows, buf = block_rows(grid.n_nodes), None
+    for first in range(0, n_paths, rows):
+        values = simulate(grid, n_paths=min(rows, n_paths - first), first_path_index=first, out=buf).values
         if buf is None:
             buf = values
-        yield first, values, realize(values)
+        x = realize(values)
+        for update in consumers:
+            update(values, x)
 
 
 def _terminal_value(values: np.ndarray) -> np.ndarray:
     return values[:, -1]
-
-
-def _drive(blocks: Iterator[tuple[int, np.ndarray, np.ndarray]], consumers: Sequence[Consumer]) -> None:
-    """Feeds every block to every consumer, in order."""
-    for _, values, x in blocks:
-        for update in consumers:
-            update(values, x)
 
 
 class _Compensation:
@@ -189,24 +200,21 @@ def run_enlargement_demo(
     seed: int,
     pairs: Sequence[tuple[float, float]] = DEFAULT_PAIRS,
     threshold: float = DEFAULT_THRESHOLD,
-    with_negative_control: bool = False,
-    with_symmetry: bool = False,
-    with_drift_ladder: bool = False,
-    qv_time: float | None = 0.9,
-    block: int = BLOCK,
+    diagnostics: bool = False,
 ) -> dict:
     """Streamed compensation experiment for the enlargement by ∫ φ dW.
 
     Simulates the driving paths block by block, compensates, and feeds
-    the martingale battery plus any requested diagnostics.  With
+    the martingale battery; with ``diagnostics`` also the failing battery
+    on the raw motion, the quadratic variation at ``QV_TIME``, the
+    symmetry slopes and the |drift|-integral ladder.  With
     ``phi = indicator(T)`` this is the pinned-bridge demonstration; other
     integrands exercise the general information drift.
     """
+    block_rows(n_base + 1)
     observed = {float(u) for p in pairs for u in p}
-    if qv_time is not None:
-        observed.add(float(qv_time))
-    if with_symmetry:
-        observed.update((0.25, 0.5))
+    if diagnostics:
+        observed.update((QV_TIME, 0.25, 0.5))
     grid = bridge_grid(n_base, phi.support_end, include=tuple(sorted(observed)))
     spec = EnlargementSpec(phi, grid)
     seedspec = SeedSpec(seed)
@@ -214,17 +222,21 @@ def run_enlargement_demo(
     pin = phi.support_end
 
     battery = IncrementRegressionAccumulator(pairs, default_basis())
-    negative = (
-        IncrementRegressionAccumulator(pairs, default_basis() + info_minus_state_basis())
-        if with_negative_control
-        else None
-    )
     wanted = battery.times_needed
     corr_comp = Moments(2, cross=True)
     corr_raw = Moments(2, cross=True)
     corr_time = max(t for _, t in pairs)
-    qv = QVAccumulator(grid.index_of(qv_time), qv_time) if qv_time is not None else None
     comp = _Compensation(spec)
+    negative = qv = ladder = None
+    slopes = []
+    if diagnostics:
+        negative = IncrementRegressionAccumulator(pairs, default_basis() + info_minus_state_basis())
+        qv = QVAccumulator(grid.index_of(QV_TIME), QV_TIME)
+        for s, t in ((0.25, 0.5), (0.0, 1.0), (0.0, 0.5)):
+            tt = min(t, float(times[-1])) if t >= pin else t
+            expected = (tt - s) / (pin - s) if t < pin else 1.0
+            slopes.append(_SlopeAccumulator(grid, s, tt, expected))
+        ladder = _DriftLadder(times, pin, n_base)
 
     def certify(values: np.ndarray, x: np.ndarray) -> None:
         w_cols = columns_at(values, times, wanted)
@@ -237,31 +249,21 @@ def run_enlargement_demo(
         if qv is not None:
             qv.update(values, comp.fv)
 
-    consumers: list[Consumer] = [comp.update, certify]
-    slopes = []
-    if with_symmetry:
-        for s, t in ((0.25, 0.5), (0.0, 1.0), (0.0, 0.5)):
-            tt = min(t, float(times[-1])) if t >= pin else t
-            expected = (tt - s) / (pin - s) if t < pin else 1.0
-            slopes.append(_SlopeAccumulator(grid, s, tt, expected))
-        consumers += [acc.update for acc in slopes]
-    ladder = _DriftLadder(times, pin, n_base) if with_drift_ladder else None
+    consumers: list[Consumer] = [comp.update, certify] + [acc.update for acc in slopes]
     if ladder is not None:
         consumers.append(ladder.update)
 
-    blocks = stream_blocks(partial(simulate_brownian, grid, seed=seedspec), partial(realize_X, spec),
-                           n_paths, block)
-    _drive(blocks, consumers)
-    l2 = phi.l2_tail(0.0)
+    stream_blocks(grid, partial(simulate_brownian, seed=seedspec), partial(realize_X, spec), n_paths,
+                  consumers)
 
     report: dict = {
         "phi": phi.describe(),
         "n_paths": n_paths,
         "n_base_steps": n_base,
         "grid_nodes": grid.n_nodes,
-        # Var X on the grid, Σ φ(t_i)² Δt_i, against ∫₀^∞ φ² (null when φ ∉ L²)
+        # Var X on the grid, Σ φ(t_i)² Δt_i, against ∫₀^∞ φ²
         "x_variance": {"grid": float(np.sum(np.asarray(phi(times[:-1])) ** 2 * grid.steps)),
-                       "continuous": l2 if math.isfinite(l2) else None},
+                       "continuous": phi.l2_tail(0.0)},
         "seed": seed,
         "threshold": threshold,
         "pairs": [list(p) for p in pairs],
@@ -291,24 +293,11 @@ def run_bridge_demo(
     seed: int,
     pairs: Sequence[tuple[float, float]] = DEFAULT_PAIRS,
     threshold: float = DEFAULT_THRESHOLD,
-    block: int = BLOCK,
 ) -> dict:
     """Pinned-bridge experiment with the full diagnostic set: battery on
     the compensated motion, failing battery on the raw motion, symmetry
     slopes, the |drift|-integral ladder, quadratic variation."""
-    return run_enlargement_demo(
-        indicator(1.0),
-        n_paths,
-        n_base,
-        seed,
-        pairs,
-        threshold,
-        with_negative_control=True,
-        with_symmetry=True,
-        with_drift_ladder=True,
-        qv_time=0.9,
-        block=block,
-    )
+    return run_enlargement_demo(indicator(1.0), n_paths, n_base, seed, pairs, threshold, diagnostics=True)
 
 
 def run_section5_integral(
@@ -318,13 +307,13 @@ def run_section5_integral(
     H: DeterministicIntegrand,
     pairs: Sequence[tuple[float, float]] = ((0.25, 0.5), (0.5, 0.75)),
     threshold: float = DEFAULT_THRESHOLD,
-    block: int = BLOCK,
 ) -> dict:
     """Integrates H against the pinned-bridge decomposition W = W̃ + A and
     runs the battery on H•W̃.  Per row slice, each of H•W, H•A and H•W̃ at
     the battery nodes is one product of its own increments with the
     left-point weights h_i·1[i < k]; the report's additivity gap is the
     worst |H•W − (H•W̃ + H•A)| there."""
+    block_rows(n_base + 1)
     phi = indicator(1.0)
     grid = bridge_grid(n_base, include=tuple(sorted({float(u) for p in pairs for u in p})))
     spec = EnlargementSpec(phi, grid)
@@ -353,9 +342,8 @@ def run_section5_integral(
             worst_gap = max(worst_gap, float(np.max(np.abs(hw - (hwt + ha)), initial=0.0)))
         battery.update(dict(zip(wanted, mart)), columns_at(values, times, wanted), x)
 
-    blocks = stream_blocks(partial(simulate_brownian, grid, seed=seedspec), partial(realize_X, spec),
-                           n_paths, block)
-    _drive(blocks, [comp.update, integrate])
+    stream_blocks(grid, partial(simulate_brownian, seed=seedspec), partial(realize_X, spec), n_paths,
+                  [comp.update, integrate])
     return {
         "H": H.describe(),
         "n_paths": n_paths,
@@ -375,11 +363,11 @@ def run_levy_demo(
     seed: int,
     pairs: Sequence[tuple[float, float]] = ((0.25, 0.5), (0.5, 0.75)),
     threshold: float = DEFAULT_THRESHOLD,
-    block: int = BLOCK,
 ) -> dict:
     """Jump-process analogue of the pinned bridge: compensates a compound
     Poisson path for knowledge of its terminal value and certifies the
     martingale property against {1, Z_s, Z_T}."""
+    block_rows(n_base + 1)
     observed = {float(u) for p in pairs for u in p} | {0.25, 0.5}
     grid = bridge_grid(n_base, include=tuple(sorted(observed)))
     if rate * grid.horizon > grid.n_nodes:
@@ -408,8 +396,8 @@ def run_levy_demo(
         battery.update({u: z_cols[u] - fv[:, j] for j, u in enumerate(wanted)}, z_cols, zt)
         increments.update(zt - np.stack([z_cols[s] for s in mean_times]))
 
-    simulate = partial(simulate_compound_poisson, grid, rate, sampler, seed=seedspec)
-    _drive(stream_blocks(simulate, _terminal_value, n_paths, block), [certify])
+    simulate = partial(simulate_compound_poisson, rate=rate, jump_sampler=sampler, seed=seedspec)
+    stream_blocks(grid, simulate, _terminal_value, n_paths, [certify])
     terminal_mean = {}
     for s, mean, se in zip(mean_times, increments.mean.tolist(), increments.se().tolist()):
         expected = rate * sampler.mean * (pin - s)
@@ -479,15 +467,11 @@ def run_lookahead_demo(
                 f"level {n}: interval 2^-{n} exceeds the look-ahead margin {epsilon}"
             )
     n_max = max(levels)
-    if 2**n_max + 1 > BLOCK_VALUES:
-        raise ValueError(f"level {n_max}: a path of 2^{n_max} + 1 nodes exceeds a block of "
-                         f"{BLOCK_VALUES} values")
+    block_rows(2**n_max + 1)
     grid = build_grid(1.0, 2**n_max)
     accs = [_LookaheadLevel(n, 2 ** (n_max - n), delta) for n in levels]
-    rows = min(BLOCK, BLOCK_VALUES // grid.n_nodes)
-    blocks = stream_blocks(partial(simulate_brownian, grid, seed=SeedSpec(seed)), _terminal_value,
-                           n_paths, rows)
-    _drive(blocks, [acc.update for acc in accs])
+    stream_blocks(grid, partial(simulate_brownian, seed=SeedSpec(seed)), _terminal_value, n_paths,
+                  [acc.update for acc in accs])
     return {
         "epsilon": epsilon,
         "delta": delta,
@@ -501,6 +485,7 @@ def run_mg_test(drift: float, n_paths: int, n_base: int, seed: int, threshold: f
     """The own-filtration battery and the Brownian characterization suite
     on W_t + drift·t over a uniform grid on [0, 1].  The drift is added to
     each block in place before anything reads it."""
+    block_rows(n_base + 1)
     grid = build_grid(1.0, n_base)
     times = grid.nodes
     seedspec = SeedSpec(seed)
@@ -515,9 +500,8 @@ def run_mg_test(drift: float, n_paths: int, n_base: int, seed: int, threshold: f
         battery.update(cols, cols, x)
         suite.update(values)
 
-    blocks = stream_blocks(partial(simulate_brownian, grid, seed=seedspec), lambda v: np.zeros(len(v)),
-                           n_paths)
-    _drive(blocks, [certify])
+    stream_blocks(grid, partial(simulate_brownian, seed=seedspec), lambda v: np.zeros(len(v)), n_paths,
+                  [certify])
     return {
         "seed": seed,
         "battery": battery.report(threshold, seedspec).to_dict(),
@@ -535,12 +519,7 @@ PROBE_CEILING = 2.5
 PROBE_BASE_STEPS = 512
 
 
-def run_jeulin_probe(
-    case: str,
-    n_paths: int,
-    seed: int,
-    block: int = BLOCK,
-) -> dict:
+def run_jeulin_probe(case: str, n_paths: int, seed: int) -> dict:
     """Per-path truncated integrals ∫ R_s A_s ds across a geometric
     truncation ladder, for a convergent and a (slowly) divergent A."""
     probes = {"finite": probe_power_quarter(1.0), "divergent": probe_log_divergent(0.75, 1.0)}
@@ -551,9 +530,8 @@ def run_jeulin_probe(
     times = grid.nodes
     rung_idx = np.arange(PROBE_BASE_STEPS - 1, grid.n_nodes)
     acc = JeulinProbeAccumulator(A, times, rung_idx, PROBE_CEILING)
-    seedspec = SeedSpec(seed)
-    blocks = stream_blocks(partial(simulate_brownian, grid, seed=seedspec), _terminal_value, n_paths, block)
-    _drive(blocks, [acc.update])
+    stream_blocks(grid, partial(simulate_brownian, seed=SeedSpec(seed)), _terminal_value, n_paths,
+                  [acc.update])
     rep = acc.report()
     return {
         "case": case,
@@ -570,29 +548,29 @@ def run_jeulin_probe(
     }
 
 
-def log_density_convergence(
-    n_paths: int,
-    seed: int,
-    base_steps: Sequence[int] = (128, 256, 512),
-    x: float = 0.3,
-    t: float = 0.5,
-) -> dict:
+# Acceptance criterion 10: the log-density identity at x on [0, t], on
+# four successive halvings of the step.
+DENSITY_BASE_STEPS = (128, 256, 512, 1024)
+DENSITY_X, DENSITY_T = 0.3, 0.5
+
+
+def log_density_convergence(n_paths: int, seed: int) -> dict:
     """RMS of the log-density identity residual across grid refinements;
     halving the step should shrink the RMS by about 1/√2."""
     phi = indicator(1.0)
     rms = []
-    for n in base_steps:
-        grid = build_grid(t, n)
+    for n in DENSITY_BASE_STEPS:
+        grid = build_grid(DENSITY_T, n)
         ens = simulate_brownian(grid, n_paths, SeedSpec(seed))
-        res = log_density_identity_residual(phi, grid.nodes, ens.values, x, t)
+        res = log_density_identity_residual(phi, grid.nodes, ens.values, DENSITY_X, DENSITY_T)
         rms.append(float(np.sqrt(np.mean(res**2))))
     ratios = [rms[i + 1] / rms[i] for i in range(len(rms) - 1)]
     return {
-        "base_steps": list(base_steps),
+        "base_steps": list(DENSITY_BASE_STEPS),
         "n_paths": n_paths,
         "seed": seed,
-        "x": x,
-        "t": t,
+        "x": DENSITY_X,
+        "t": DENSITY_T,
         "rms": rms,
         "ratios": ratios,
         "target_ratio": 1.0 / math.sqrt(2.0),

@@ -419,7 +419,8 @@ class JeulinProbeAccumulator:
     """Streams per-path truncated integrals Σ R_i ∫A over a rung ladder:
     Cauchy stabilization when ∫A converges, ceiling exceedance when it
     diverges.  R_s = |X − W_s|/√(t_pin − s) is standard half-normal and
-    independent of the path up to s by construction."""
+    independent of the path up to s by construction.  Each block is read
+    one row slice at a time."""
 
     def __init__(
         self,
@@ -431,7 +432,7 @@ class JeulinProbeAccumulator:
         self.A = A
         self.rungs = np.asarray(rung_indices, dtype=int)
         self.ceiling = float(ceiling)
-        self.times = times
+        self._sqrt_left = np.sqrt(times[-1] - times[:-1])
         self._weights = np.array(
             [A.integral(float(a), float(b)) for a, b in zip(times[:-1], times[1:])]
         )
@@ -440,15 +441,16 @@ class JeulinProbeAccumulator:
         self._n_exceed = 0
 
     def update(self, values: np.ndarray, x: np.ndarray) -> None:
-        t = self.times
-        pin = t[-1]
-        r = np.abs(x[:, None] - values[:, :-1]) / np.sqrt(pin - t[:-1])
-        ladder = np.cumsum(r * self._weights, axis=1)[:, self.rungs - 1]
-        tail = np.abs(np.diff(ladder[:, -4:], axis=1))
-        cauchy = np.all(tail < PROBE_CAUCHY_TOL * (1.0 + ladder[:, -1:]), axis=1)
+        for rows in row_slices(*values.shape):
+            r = np.abs(x[rows, None] - values[rows, :-1])
+            r /= self._sqrt_left
+            r *= self._weights
+            ladder = np.cumsum(r, axis=1, out=r)[:, self.rungs - 1]
+            tail = np.abs(np.diff(ladder[:, -4:], axis=1))
+            cauchy = np.all(tail < PROBE_CAUCHY_TOL * (1.0 + ladder[:, -1:]), axis=1)
+            self._n_cauchy += int(np.sum(cauchy))
+            self._n_exceed += int(np.sum(ladder[:, -1] > self.ceiling))
         self._n += values.shape[0]
-        self._n_cauchy += int(np.sum(cauchy))
-        self._n_exceed += int(np.sum(ladder[:, -1] > self.ceiling))
 
     def report(self) -> ProbeReport:
         det = sum(float(w) for w in self._weights[: self.rungs[-1]])

@@ -13,7 +13,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, ClassVar, Iterator, TypeVar
 
 import numpy as np
 
@@ -124,7 +124,7 @@ class SeedSpec:
     """Base seed plus the rule deriving one substream per path index."""
 
     base_seed: int
-    derivation: str = "philox:key=(base_seed<<64)|path_index"
+    derivation: ClassVar[str] = "philox:key=(base_seed<<64)|path_index"
 
     def __post_init__(self):
         if not (0 <= self.base_seed < 2**64):

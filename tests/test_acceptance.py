@@ -117,7 +117,7 @@ def test_criterion_04_classifier_table(announce):
 
 @pytest.fixture(scope="session")
 def ramp_run():
-    return run_enlargement_demo(linear_ramp(1.0), 100_000, 1024, SEED + 1, qv_time=None)
+    return run_enlargement_demo(linear_ramp(1.0), 100_000, 1024, SEED + 1)
 
 
 def test_criterion_05_general_information_drift(ramp_run, announce):
@@ -179,7 +179,7 @@ def test_criterion_09_finite_lab_exactness(announce):
 
 
 def test_criterion_10_density_identity_self_convergence(announce):
-    rep = log_density_convergence(10_000, SEED + 5, base_steps=(128, 256, 512, 1024))
+    rep = log_density_convergence(10_000, SEED + 5)
     target = rep["target_ratio"]
     ok = all(abs(r - target) <= 0.25 * target for r in rep["ratios"])
     announce(10, "log-density residual order-1/2", ok,

@@ -5,6 +5,7 @@ import pytest
 from enlargekit.classifier import (
     DIVERGES,
     FINITE,
+    MAX_RUNGS,
     NOT_DEFINED,
     NOT_SEMIMARTINGALE,
     SEMIMARTINGALE,
@@ -67,6 +68,19 @@ def test_log_family_values_match_substitution_oracle():
         r = l2_norm(jeulin_yor(alpha, 1.0), 1.0)
         assert r.status == FINITE
         assert abs(r.value / log_family_l2_oracle(alpha) - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("T", [0.5, 0.7, 1.0, 2.0])
+def test_analytic_verdicts_hold_at_the_deepest_ladder(T):
+    # past MAX_RUNGS the strips fall below the float resolution at T: from
+    # 56 rungs every one of these read SEMIMARTINGALE
+    for alpha, expected in ((0.4, NOT_DEFINED), (0.6, NOT_SEMIMARTINGALE), (0.75, NOT_SEMIMARTINGALE),
+                            (1.25, SEMIMARTINGALE), (1.5, SEMIMARTINGALE)):
+        assert classify(jeulin_yor(alpha, T), T, MAX_RUNGS).verdict == expected
+    r = l2_norm(jeulin_yor(0.75, T), T, MAX_RUNGS)
+    assert abs(r.value / log_family_l2_oracle(0.75) - 1.0) < 1e-3
+    with pytest.raises(ValueError):
+        l2_norm(jeulin_yor(0.75, T), T, MAX_RUNGS + 1)
 
 
 def test_l2_diverges_below_half():

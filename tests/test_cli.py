@@ -88,6 +88,12 @@ BAD_EPSILON = [
     ["levy-demo", "--rate", "1e12", "--paths", "10", "--steps", "16"],
     ["lookahead-demo", "--levels", "8,25", "--paths", "10000"],
     *BAD_EPSILON,
+    ["bridge-demo", "--steps", "1000000000000", "--paths", "10"],
+    ["mg-test", "--steps", "1000000000000", "--paths", "10"],
+    ["levy-demo", "--steps", "1000000000000", "--paths", "10"],
+    ["classify", "--rungs", "1000000000000"],
+    ["classify", "--alpha", "0.75", "--rungs", "60"],
+    ["drift-sim", "--phi", "jy:alpha=0.4,T=1", "--paths", "100", "--steps", "16"],
 ])
 def test_bad_input_is_a_config_error_before_any_work(argv, capsys):
     assert _exit_code(argv) == EXIT_CONFIG

@@ -19,7 +19,7 @@ from enlargekit.enlargement import (
 )
 from enlargekit.experiments import ABS_DRIFT_CONSTANT, _SlopeAccumulator, bridge_grid
 from enlargekit.grid import build_grid
-from enlargekit.integrands import constant, indicator, jeulin_yor, tabulated
+from enlargekit.integrands import constant, indicator, jeulin_yor, linear_ramp, tabulated
 from enlargekit.paths import SeedSpec, rademacher_jumps, simulate_brownian, simulate_compound_poisson
 
 SEED = SeedSpec(424242)
@@ -179,9 +179,23 @@ def test_abs_drift_ladder_matches_bridge_constant():
 
 
 def test_spec_horizon_consistency():
-    grid = build_grid(1.0, 16)  # ends exactly at the info horizon
+    EnlargementSpec(indicator(1.0), build_grid(1.0, 16))  # ends exactly at the info horizon
     with pytest.raises(EnlargementError):
-        EnlargementSpec(indicator(1.0), grid, epsilon_exclusion=0.25)
+        EnlargementSpec(indicator(0.75), build_grid(1.0, 16))  # runs past it
+
+
+@pytest.mark.parametrize("phi", [indicator(1.0), linear_ramp(1.0), jeulin_yor(0.75, 1.0)])
+def test_compensated_qv_matches_its_long_form(phi):
+    # Σ_{i<k} Δt_i − 2 w_i φ_i Δt_i + w_i² Σ_{j≥i} φ_j² Δt_j, the expansion of E(ΔW − ΔA)²
+    grid = bridge_grid(256, include=(0.9,))
+    spec = EnlargementSpec(phi, grid)
+    dt = grid.steps
+    f = np.asarray(phi(grid.nodes[:-1]))
+    w = spec.drift_weights()
+    tail = np.cumsum((f * f * dt)[::-1])[::-1]
+    k = grid.index_of(0.9)
+    long_form = float(np.sum((dt - 2.0 * w * f * dt + w * w * tail)[:k]))
+    assert abs(spec.compensated_qv(k) - long_form) <= 1e-12 * long_form
 
 
 def test_decomposition_rejects_non_finite_gap():

@@ -8,6 +8,7 @@ from enlargekit.mgtests import (
     BasisFunction,
     CharacterizationAccumulator,
     JeulinProbeAccumulator,
+    PROBE_CAUCHY_TOL,
     LookaheadPredictabilityError,
     Moments,
     ProbeIntegrand,
@@ -218,3 +219,20 @@ def test_probe_two_sided_smoke():
     assert fin.cauchy_fraction >= 0.99
     assert div.exceed_fraction >= 0.99
     assert div.deterministic_integral_deepest > 4 * fin.deterministic_integral_deepest
+
+
+def test_probe_counts_match_a_whole_block_reference():
+    # 3000 × 552 values: the accumulator reads them in several row slices
+    grid = build_grid(1.0, 512, singular_point=1.0, refinement_ratio=0.5, depth=40)
+    values = simulate_brownian(grid, 3000, SeedSpec(14)).values
+    x, t = values[:, -1], grid.nodes
+    rungs = np.arange(511, grid.n_nodes)
+    for A in (probe_power_quarter(1.0), probe_log_divergent(0.75, 1.0)):
+        weights = np.array([A.integral(float(a), float(b)) for a, b in zip(t[:-1], t[1:])])
+        r = np.abs(x[:, None] - values[:, :-1]) / np.sqrt(t[-1] - t[:-1])
+        ladder = np.cumsum(r * weights, axis=1)[:, rungs - 1]
+        tail = np.abs(np.diff(ladder[:, -4:], axis=1))
+        cauchy = np.all(tail < PROBE_CAUCHY_TOL * (1.0 + ladder[:, -1:]), axis=1)
+        rep = _probe(A, values, grid, rungs, ceiling=2.5)
+        assert rep.cauchy_fraction == int(np.sum(cauchy)) / 3000
+        assert rep.exceed_fraction == int(np.sum(ladder[:, -1] > 2.5)) / 3000

@@ -184,7 +184,7 @@ def test_rademacher_sampler_matches_choice_and_stream_position():
 def test_streamed_levy_stays_within_one_and_a_half_block_matrices():
     tracemalloc.start()
     try:
-        report = run_levy_demo(1.0, rademacher_jumps(), 4096, 256, 20240901, block=4096)
+        report = run_levy_demo(1.0, rademacher_jumps(), 4096, 256, 20240901)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

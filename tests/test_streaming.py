@@ -25,6 +25,7 @@ from enlargekit.experiments import (
     bridge_grid,
     run_bridge_demo,
     run_enlargement_demo,
+    run_jeulin_probe,
     run_lookahead_demo,
     run_mg_test,
     run_section5_integral,
@@ -43,11 +44,8 @@ SEED = 777
 REL = 1e-12
 
 
-def _full_diagnostics(phi, n_paths, n_base, seed, block):
-    return run_enlargement_demo(
-        phi, n_paths, n_base, seed, with_negative_control=True, with_symmetry=True,
-        with_drift_ladder=True, qv_time=0.9, block=block,
-    )
+def _full_diagnostics(phi, n_paths, n_base, seed):
+    return run_enlargement_demo(phi, n_paths, n_base, seed, diagnostics=True)
 
 
 def _reference(phi, n_paths, n_base, seed):
@@ -122,7 +120,7 @@ def _assert_close(got, want, where="", floor=0.0):
 def test_engine_matches_library_path(phi):
     phi = parse_integrand(phi)
     # 256 base steps make the engine's row-sliced kernels take several slices
-    got = _full_diagnostics(phi, 2000, 256, SEED, block=16384)
+    got = _full_diagnostics(phi, 2000, 256, SEED)
     want = _reference(phi, 2000, 256, SEED)
     rungs = got["abs_drift_ladder"]["rungs"]
     _assert_close(
@@ -141,26 +139,35 @@ def test_engine_matches_library_path(phi):
     )
 
 
-def test_report_does_not_depend_on_blocking():
+def test_report_does_not_depend_on_blocking(monkeypatch):
     phi = parse_integrand("indicator:T=1")
-    one = _full_diagnostics(phi, 8192, 256, SEED, block=16384)
-    four = _full_diagnostics(phi, 8192, 256, SEED, block=4096)
+    one = _full_diagnostics(phi, 8192, 256, SEED)
+    monkeypatch.setattr(experiments, "BLOCK", 4096)
+    four = _full_diagnostics(phi, 8192, 256, SEED)
     _assert_close(four, one)
 
 
-def test_blocks_reuse_one_buffer_with_one_shot_values():
+def test_blocks_reuse_one_buffer_with_one_shot_values(monkeypatch):
     grid = bridge_grid(32)
+    assert grid.n_nodes == 47
     seeds = SeedSpec(SEED)
     whole = simulate_brownian(grid, 10, seeds).values
-    firsts, first_block = [], None
-    for first, values, x in stream_blocks(partial(simulate_brownian, grid, seed=seeds),
-                                          lambda v: v[:, -1], 10, 4):
-        firsts.append(first)
-        first_block = values if first_block is None else first_block
-        assert np.shares_memory(values, first_block)
-        assert np.array_equal(values, whole[first:first + values.shape[0]])
-        assert np.array_equal(x, values[:, -1])
-    assert firsts == [0, 4, 8]
+    # rows per block: at most BLOCK, and at most BLOCK_VALUES values on the grid's 47 nodes
+    for block, block_values, rows in ((4, 10**6, 4), (BLOCK, 3 * 47 + 46, 3)):
+        monkeypatch.setattr(experiments, "BLOCK", block)
+        monkeypatch.setattr(experiments, "BLOCK_VALUES", block_values)
+        sizes, blocks = [], []
+
+        def consume(values, x):
+            first = sum(sizes)
+            sizes.append(values.shape[0])
+            blocks.append(values)
+            assert np.shares_memory(values, blocks[0])
+            assert np.array_equal(values, whole[first:first + values.shape[0]])
+            assert np.array_equal(x, values[:, -1])
+
+        stream_blocks(grid, partial(simulate_brownian, seed=seeds), lambda v: v[:, -1], 10, [consume])
+        assert sizes == [min(rows, 10 - first) for first in range(0, 10, rows)]
 
 
 def test_refilled_buffer_matches_fresh_simulation():
@@ -181,7 +188,7 @@ def test_refilled_buffer_matches_fresh_simulation():
 def test_streamed_bridge_stays_within_three_block_matrices():
     tracemalloc.start()
     try:
-        report = run_bridge_demo(4096, 256, SEED, block=4096)
+        report = run_bridge_demo(4096, 256, SEED)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -207,8 +214,9 @@ def _section5_reference(n_paths, n_base, seed):
 
 
 @pytest.mark.parametrize("block", [4096, 10_000])
-def test_section5_matches_full_matrix_reference(block):
-    got = run_section5_integral(10_000, 128, SEED, S5_H, S5_PAIRS, block=block)
+def test_section5_matches_full_matrix_reference(block, monkeypatch):
+    monkeypatch.setattr(experiments, "BLOCK", block)
+    got = run_section5_integral(10_000, 128, SEED, S5_H, S5_PAIRS)
     _assert_close(got["battery"], _section5_reference(10_000, 128, SEED))
     assert 0.0 < got["additivity_gap"] <= 1e-12  # summed from separate increments, so not 0 by construction
 
@@ -239,6 +247,12 @@ def test_streamed_mg_test_stays_within_three_block_matrices():
     assert peak < 3 * block_bytes, f"peak {peak / block_bytes:.2f} block matrices"
 
 
+def test_streamed_jeulin_probe_stays_within_one_and_a_half_block_matrices():
+    peak = _peak_bytes(lambda: run_jeulin_probe("finite", 8192, SEED))
+    block_bytes = 8192 * bridge_grid(experiments.PROBE_BASE_STEPS, depth=experiments.PROBE_DEPTH).n_nodes * 8
+    assert peak < 1.5 * block_bytes, f"peak {peak / block_bytes:.2f} block matrices"
+
+
 def test_streamed_lookahead_stays_within_two_block_matrices():
     peak = _peak_bytes(lambda: run_lookahead_demo(2.0**-6, [8, 10], 4000, SEED))
     block_bytes = 4000 * 1025 * 8
@@ -254,17 +268,24 @@ def test_streamed_lookahead_stays_within_two_block_matrices():
     ["lookahead-demo", "--levels", "1,2", "--epsilon", "0.5"],
 ])
 def test_no_command_simulates_more_than_a_block(argv, monkeypatch):
-    asked = []
+    asked = []  # (paths, nodes) of each simulator call
     for name in ("simulate_brownian", "simulate_compound_poisson"):
         real = getattr(experiments, name)
 
         def counting(*args, _real=real, _signature=inspect.signature(real), **kwargs):
-            asked.append(_signature.bind(*args, **kwargs).arguments["n_paths"])
+            bound = _signature.bind(*args, **kwargs).arguments
+            asked.append((bound["n_paths"], bound["grid"].n_nodes))
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(experiments, name, counting)
     assert main(argv + ["--paths", str(BLOCK + 1), "--seed", "5"]) in (EXIT_PASS, EXIT_STAT_FAIL)
-    assert sum(asked) == BLOCK + 1 and max(asked) <= BLOCK, asked
+    assert sum(n for n, _ in asked) == BLOCK + 1 and max(n for n, _ in asked) <= BLOCK, asked
+    # a value budget far below BLOCK rows of any of these grids caps the rows instead
+    asked.clear()
+    monkeypatch.setattr(experiments, "BLOCK_VALUES", 5000)
+    assert main(argv + ["--paths", "2000", "--seed", "5"]) in (EXIT_PASS, EXIT_STAT_FAIL)
+    assert sum(n for n, _ in asked) == 2000, asked
+    assert max(n * nodes for n, nodes in asked) <= 5000 and max(n for n, _ in asked) <= BLOCK, asked
 
 
 def test_mg_test_matches_whole_ensemble_reference():
