@@ -67,14 +67,31 @@ class LadderResult:
     def render_value(self) -> str:
         return f"{self.value!r}" if self.is_finite else self.status
 
+    def explain(self) -> dict:
+        """Why the ladder decided: the fitted decay exponent p (None unless
+        the power fit decided), |p − 1| − ``EXPONENT_MARGIN`` (negative
+        inside the UNDECIDED band), the last three increments, and the
+        part of a FINITE value that extrapolates past the last rung."""
+        p = self.decay_exponent
+        return {
+            "status": self.status,
+            "decay_exponent": p,
+            "margin": None if p is None else abs(p - 1.0) - EXPONENT_MARGIN,
+            "last_increments": self.increments[-3:].tolist(),
+            "extrapolated_tail": self.value - float(self.partial_sums[-1]) if self.is_finite else None,
+        }
 
-def _strip_integral(f: Callable, T: float, lo: float, hi: float) -> float:
-    """∫_lo^hi f(s) ds via u = √(T−s); smooth away the endpoint weight."""
-    ua, ub = math.sqrt(T - hi), math.sqrt(T - lo)
+
+def _strip_integrals(f: Callable, T: float, eps: np.ndarray) -> np.ndarray:
+    """Every rung's ∫ f(s) ds over [T−ε_k, T−ε_{k+1}] via u = √(T−s), which
+    smooths away the endpoint weight: one (rungs × nodes) evaluation of f,
+    each row the same operations in the same order as one strip alone."""
+    # T − (T − ε) is not ε in floating point: keep the rounding of the edges
+    ua, ub = np.sqrt(T - (T - eps[1:])), np.sqrt(T - (T - eps[:-1]))
     mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)
-    u = mid + half * _GL_NODES
+    u = mid[:, None] + half[:, None] * _GL_NODES
     vals = np.asarray(f(T - u * u), dtype=float)
-    return float(half * np.sum(_GL_WEIGHTS * vals * 2.0 * u))
+    return half * np.sum(_GL_WEIGHTS * vals * 2.0 * u, axis=1)
 
 
 def improper_endpoint_integral(
@@ -93,9 +110,7 @@ def improper_endpoint_integral(
     eps = eps0 * 2.0 ** -np.arange(0, max_rungs + 1)
     head, _ = quad(f, 0.0, T - eps0, epsabs=1e-13, epsrel=1e-11, limit=300)
 
-    incr = np.empty(max_rungs)
-    for k in range(max_rungs):
-        incr[k] = _strip_integral(f, T, T - eps[k], T - eps[k + 1])
+    incr = _strip_integrals(f, T, eps)
     sums = head + np.cumsum(incr)
     truncs = eps[1:]
 

@@ -153,6 +153,7 @@ def cmd_classify(args) -> int:
         "l2_value": verdict.l2.value if verdict.l2.is_finite else verdict.l2.status,
         "verdict": verdict.verdict,
         "rungs_used": max(verdict.jy.rungs_used, verdict.l2.rungs_used),
+        "ladders": {"jy": verdict.jy.explain(), "l2": verdict.l2.explain()},
     }
     csv = "family,params,T,jy_value,l2_value,verdict,rungs_used\n" + verdict.record() + "\n"
     _write_report(args.out, "classify", report, not args.no_timestamp, csv)
@@ -346,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("classify", help="integrability verdict for m•W under terminal-value enlargement")
-    q.add_argument("--family", choices=["jy"], default="jy")
     q.add_argument("--alpha", type=_finite_float, default=0.75)
     q.add_argument("--T", type=_finite_float, default=1.0)
     q.add_argument("--m", default=None, help="explicit integrand spec, e.g. const:c=1,T=1")

@@ -208,7 +208,7 @@ def drift_compensator(
         _fv_part(spec.phi, spec.grid.nodes, weights, values[rows], x[rows], a[rows])
         return _additivity_gap(values[rows], a[rows])
 
-    _check_gaps(split_rows(fill, values.shape[0]))
+    _check_gaps(split_rows(fill, values.shape))
     return a
 
 

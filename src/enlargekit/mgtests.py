@@ -298,7 +298,7 @@ class QVAccumulator:
                     d -= np.diff(fv[rows, : k + 1], axis=1)
                 qv[rows] = np.einsum("ij,ij->i", d, d)
 
-        split_rows(fill, values.shape[0])
+        split_rows(fill, (values.shape[0], k + 1))
         self._moments.update(qv)
 
     def report(self, expected: float, rel_tol: float) -> QVReport:

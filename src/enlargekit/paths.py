@@ -26,9 +26,11 @@ _T = TypeVar("_T")
 # that numpy's per-call overhead is too.
 SLICE_BYTES = 1 << 21
 
-# split_rows runs inline when a range would hold fewer rows than this,
+# split_rows runs inline when a range would hold fewer rows than this and
+# fewer values than a range of that many rows of a 1035-node bridge block,
 # so small blocks pay no thread hand-off.
 MIN_SPLIT_ROWS = 1024
+MIN_SPLIT_VALUES = MIN_SPLIT_ROWS * 1035
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -68,23 +70,26 @@ def _run_range(fn: Callable[[int, int], _T], lo: int, hi: int, parts: int) -> _T
         _range.parts = 1
 
 
-def split_rows(fn: Callable[[int, int], _T], n_rows: int) -> list[_T]:
+def split_rows(fn: Callable[[int, int], _T], shape: int | tuple[int, int]) -> list[_T]:
     """``fn(lo, hi)`` on one contiguous row range per usable core, the
-    results in row order.
+    results in row order; ``shape`` is the row count or the (rows,
+    columns) of the work.
 
     The calling thread runs the first range and a module-level thread
     pool the others; every range is finished before a worker's exception
-    is re-raised here.  With fewer than ``MIN_SPLIT_ROWS`` rows per range,
-    or when called from inside a range (so that a nested call never waits
-    on the pool it runs in), it is ``[fn(0, n_rows)]``.
+    is re-raised here.  With fewer than ``MIN_SPLIT_ROWS`` rows and
+    ``MIN_SPLIT_VALUES`` values per range, or when called from inside a
+    range (so that a nested call never waits on the pool it runs in), it
+    is ``[fn(0, n_rows)]``.
 
     ``fn`` must write only to its own rows and call no function that
     the benchmark's span tracer wraps: the tracer keeps one span stack for
     all threads.  Rows of a path block are pure functions of (seed, path),
     so no split changes an output bit.
     """
+    n_rows, n_cols = (shape, 1) if np.ndim(shape) == 0 else shape
     cores = _usable_cores()
-    parts = min(cores, n_rows // MIN_SPLIT_ROWS)
+    parts = min(cores, n_rows, max(n_rows // MIN_SPLIT_ROWS, n_rows * n_cols // MIN_SPLIT_VALUES))
     if parts < 2 or getattr(_range, "parts", 1) > 1:
         return [fn(0, n_rows)]
     bounds = [n_rows * p // parts for p in range(parts + 1)]
@@ -214,7 +219,7 @@ def simulate_brownian(
             incr *= sqrt_steps
             np.cumsum(incr, axis=1, out=incr)
 
-    split_rows(fill, n_paths)
+    split_rows(fill, values.shape)
     return PathEnsemble(grid, values, "brownian", seed)
 
 

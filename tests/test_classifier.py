@@ -1,11 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
+from enlargekit import classifier
 from enlargekit.classifier import (
+    DEFAULT_RUNGS,
     DIVERGES,
+    EXPONENT_MARGIN,
     FINITE,
     MAX_RUNGS,
+    MIN_RUNGS,
     NOT_DEFINED,
     NOT_SEMIMARTINGALE,
     SEMIMARTINGALE,
@@ -14,7 +19,7 @@ from enlargekit.classifier import (
     jeulin_yor_functional,
     l2_norm,
 )
-from enlargekit.integrands import constant, jeulin_yor, tabulated
+from enlargekit.integrands import constant, jeulin_yor, parse_integrand, tabulated
 
 LN2 = math.log(2.0)
 
@@ -130,3 +135,67 @@ def test_classification_record_format():
     assert fields[0] == "jy"
     assert fields[-2] == NOT_SEMIMARTINGALE
     assert int(fields[-1]) > 0
+
+
+def _strip_reference(f, T, rungs):
+    """The ladder one strip at a time, as it was evaluated before every
+    rung became one row of a single array."""
+    eps = T / 2.0 * 2.0 ** -np.arange(0, rungs + 1)
+    incr = np.empty(rungs)
+    for k in range(rungs):
+        lo, hi = T - eps[k], T - eps[k + 1]
+        ua, ub = math.sqrt(T - hi), math.sqrt(T - lo)
+        mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)
+        u = mid + half * classifier._GL_NODES
+        vals = np.asarray(f(T - u * u), dtype=float)
+        incr[k] = float(half * np.sum(classifier._GL_WEIGHTS * vals * 2.0 * u))
+    return incr
+
+
+@pytest.mark.parametrize("T", [0.5, 0.7, 1.0, 2.0])
+def test_one_array_ladder_matches_the_per_strip_loop_bit_for_bit(T, monkeypatch):
+    ladders = []
+    inner = classifier.improper_endpoint_integral
+
+    def spy(f, T, max_rungs):
+        arrays = []
+
+        def counted(s):
+            arrays.append(np.ndim(s) == 2)
+            return f(s)
+
+        r = inner(counted, T, max_rungs)
+        ladders.append((f, max_rungs, r, sum(arrays)))
+        return r
+
+    monkeypatch.setattr(classifier, "improper_endpoint_integral", spy)
+    ms = [jeulin_yor(float(a), T) for a in np.linspace(0.4, 3.0, 60)]
+    ms += [parse_integrand(f"{spec}T={T}") for spec in ("linear:", "const:c=1.5,", "indicator:")]
+    ms.append(tabulated([0.0, 0.3 * T, 0.9 * T], [1.0, 2.0, 0.5]))
+    for m in ms:
+        for rungs in (MIN_RUNGS, DEFAULT_RUNGS, MAX_RUNGS):
+            jeulin_yor_functional(m, T, rungs)
+            l2_norm(m, T, rungs)
+    assert len(ladders) == 2 * 3 * len(ms)
+    for f, rungs, r, array_calls in ladders:
+        assert array_calls == 1  # every rung in one evaluation of f
+        want = _strip_reference(f, T, rungs)[: r.rungs_used]
+        assert r.increments.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.75, 1.005, 1.5])
+def test_explanation_reads_the_ladder(alpha):
+    for r in (jeulin_yor_functional(jeulin_yor(alpha, 1.0), 1.0), l2_norm(jeulin_yor(alpha, 1.0), 1.0)):
+        e = r.explain()
+        assert e["status"] == r.status
+        assert e["last_increments"] == r.increments[-3:].tolist()
+        p = r.decay_exponent
+        if p is None:
+            assert e["margin"] is None
+        else:
+            assert e["margin"] == abs(p - 1.0) - EXPONENT_MARGIN
+            assert (e["margin"] < 0.0) == (r.status == UNDECIDED)
+        if r.is_finite:
+            assert r.partial_sums[-1] + e["extrapolated_tail"] == pytest.approx(r.value, rel=1e-15)
+        else:
+            assert e["extrapolated_tail"] is None

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from enlargekit import cli, experiments
-from enlargekit.classifier import classify
+from enlargekit.classifier import EXPONENT_MARGIN, classify
 from enlargekit.enlargement import RefusedNonSemimartingaleError
 from enlargekit.integrands import jeulin_yor
 from enlargekit.cli import (
@@ -26,7 +26,7 @@ X: a=1 b=1 c=0 d=0
 
 
 def test_classify_refusal_exit_code(capsys):
-    assert main(["classify", "--family", "jy", "--alpha", "0.75", "--T", "1"]) == EXIT_REFUSAL
+    assert main(["classify", "--alpha", "0.75", "--T", "1"]) == EXIT_REFUSAL
     out = capsys.readouterr().out
     assert "NOT_SEMIMARTINGALE" in out
 
@@ -35,6 +35,18 @@ def test_classify_pass_and_undecided():
     assert main(["classify", "--m", "const:c=1,T=1"]) == EXIT_PASS
     assert main(["classify", "--alpha", "1.002"]) == EXIT_UNDECIDED
     assert main(["classify", "--alpha", "0.4"]) == EXIT_REFUSAL  # not even defined
+
+
+def test_classify_report_explains_an_undecided_verdict(tmp_path):
+    assert main(["classify", "--alpha", "1.002", "--out", str(tmp_path), "--no-timestamp"]) == EXIT_UNDECIDED
+    report = json.loads((tmp_path / "classify.json").read_text())
+    assert set(report) == {"command", "family", "T", "rungs", "jy_value", "l2_value", "verdict",
+                           "rungs_used", "ladders"}
+    jy, l2 = report["ladders"]["jy"], report["ladders"]["l2"]
+    assert jy["status"] == report["jy_value"] == "UNDECIDED" and jy["extrapolated_tail"] is None
+    assert -EXPONENT_MARGIN < jy["margin"] < 0.0 and abs(jy["decay_exponent"] - 1.0) < EXPONENT_MARGIN
+    assert l2["status"] == "FINITE" and l2["margin"] > 0.0 and 0.0 < l2["extrapolated_tail"] < report["l2_value"]
+    assert len(jy["last_increments"]) == len(l2["last_increments"]) == 3
 
 
 def test_config_error_exit_codes(tmp_path):
@@ -94,6 +106,7 @@ BAD_EPSILON = [
     ["classify", "--rungs", "1000000000000"],
     ["classify", "--alpha", "0.75", "--rungs", "60"],
     ["drift-sim", "--phi", "jy:alpha=0.4,T=1", "--paths", "100", "--steps", "16"],
+    ["classify", "--family", "jy"],
 ])
 def test_bad_input_is_a_config_error_before_any_work(argv, capsys):
     assert _exit_code(argv) == EXIT_CONFIG

@@ -8,7 +8,7 @@ from pathlib import Path
 from enlargekit import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "enlargekit"
-SETTABLE_VALUES = 124
+SETTABLE_VALUES = 123
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -17,7 +17,7 @@ from enlargekit.enlargement import EnlargementError, EnlargementSpec, drift_comp
 from enlargekit.experiments import bridge_grid
 from enlargekit.integrands import indicator, parse_integrand
 from enlargekit.mgtests import QVAccumulator
-from enlargekit.paths import MIN_SPLIT_ROWS, SeedSpec, simulate_brownian, split_rows
+from enlargekit.paths import MIN_SPLIT_ROWS, SeedSpec, _usable_cores, simulate_brownian, split_rows
 
 SEED = SeedSpec(31337)
 N = 4096  # rows enough for split_rows to use every core of a small machine
@@ -46,6 +46,16 @@ def test_split_rows_covers_rows_in_order():
     if len(got) > 1:  # the caller runs the first range and the pool the others
         assert len({ident for *_, ident in got}) > 1
     assert split_rows(lambda lo, hi: (lo, hi), MIN_SPLIT_ROWS + 1) == [(0, MIN_SPLIT_ROWS + 1)]
+
+
+def test_split_rows_splits_wide_blocks_by_their_values():
+    # a 16 385-node grid gets blocks of 16 957 440 // 16 385 = 1034 rows:
+    # fewer than 2·MIN_SPLIT_ROWS, but 15 ranges' worth of values
+    cores = _usable_cores()
+    assert len(split_rows(lambda lo, hi: (lo, hi), (1034, 16385))) == min(cores, 15)
+    assert len(split_rows(lambda lo, hi: (lo, hi), (16384, 1035))) == min(cores, 16)
+    assert split_rows(lambda lo, hi: (lo, hi), (1034, 1035)) == [(0, 1034)]
+    assert split_rows(lambda lo, hi: (lo, hi), (1, 10**9)) == [(0, 1)]
 
 
 def test_split_rows_reraises_a_worker_error_after_every_range():
