@@ -87,7 +87,8 @@ def _strip_integrals(f: Callable, T: float, eps: np.ndarray) -> np.ndarray:
     smooths away the endpoint weight: one (rungs × nodes) evaluation of f,
     each row the same operations in the same order as one strip alone."""
     # T − (T − ε) is not ε in floating point: keep the rounding of the edges
-    ua, ub = np.sqrt(T - (T - eps[1:])), np.sqrt(T - (T - eps[:-1]))
+    root = np.sqrt(T - (T - eps))
+    ua, ub = root[1:], root[:-1]
     mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)
     u = mid[:, None] + half[:, None] * _GL_NODES
     vals = np.asarray(f(T - u * u), dtype=float)
